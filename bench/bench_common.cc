@@ -1,75 +1,134 @@
 #include "bench_common.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 namespace lor {
 namespace bench {
 
+namespace {
+
+/// Prints why the command line was rejected plus the usage, and exits
+/// 2 (the perfbench convention for malformed arguments).
+[[noreturn]] void UsageExit(const char* program, const std::string& why) {
+  std::fprintf(stderr,
+               "%s: %s\n"
+               "usage: %s [--scale=small|paper|<positive number>] "
+               "[--seed=N] [--csv] [--name-path] [--qd=N] [--sync] "
+               "[--cache-mb=N] [--no-overlap] [--wall-repeats=N] "
+               "[--owners=N] [--fifo] [--shards=N | --threads=N]\n"
+               "environment: LOR_BENCH_SCALE overrides --scale, "
+               "LOR_BENCH_SHARDS overrides --shards\n",
+               program, why.c_str(), program);
+  std::exit(2);
+}
+
+/// Strict unsigned decimal: digits only, fully consumed, no overflow.
+bool ParseU64(const char* text, uint64_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+
+/// A count in [1, UINT32_MAX].
+bool ParseCount(const char* text, uint32_t* out) {
+  uint64_t v = 0;
+  if (!ParseU64(text, &v) || v == 0 || v > UINT32_MAX) return false;
+  *out = static_cast<uint32_t>(v);
+  return true;
+}
+
+/// small | paper | a positive finite number, fully consumed.
+bool ParseScale(const char* text, double* out) {
+  if (std::strcmp(text, "small") == 0) {
+    *out = 0.1;
+    return true;
+  }
+  if (std::strcmp(text, "paper") == 0) {
+    *out = 1.0;
+    return true;
+  }
+  if (*text == '\0') return false;
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (*end != '\0' || !std::isfinite(v) || v <= 0.0) return false;
+  *out = v;
+  return true;
+}
+
+}  // namespace
+
 Options Options::FromArgs(int argc, char** argv) {
   Options opts;
+  const char* program = argc > 0 ? argv[0] : "bench";
+  // `--name=value` flags: matches `arg` against `name` and yields the
+  // value, or null when `arg` is a different flag.
+  auto value_of = [](const char* arg, const char* name) -> const char* {
+    const size_t n = std::strlen(name);
+    return std::strncmp(arg, name, n) == 0 ? arg + n : nullptr;
+  };
+  auto bad = [&](const char* arg, const char* expected) {
+    UsageExit(program, std::string("malformed ") + arg + " (expected " +
+                           expected + ")");
+  };
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--scale=", 8) == 0) {
-      const char* value = arg + 8;
-      if (std::strcmp(value, "small") == 0) {
-        opts.scale = 0.1;
-      } else if (std::strcmp(value, "paper") == 0) {
-        opts.scale = 1.0;
-      } else {
-        opts.scale = std::atof(value);
-        if (opts.scale <= 0.0) opts.scale = 0.1;
+    const char* v = nullptr;
+    if ((v = value_of(arg, "--scale=")) != nullptr) {
+      if (!ParseScale(v, &opts.scale)) {
+        bad(arg, "small, paper or a positive number");
       }
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opts.seed = std::strtoull(arg + 7, nullptr, 10);
+    } else if ((v = value_of(arg, "--seed=")) != nullptr) {
+      if (!ParseU64(v, &opts.seed)) bad(arg, "a non-negative integer");
     } else if (std::strcmp(arg, "--csv") == 0) {
       opts.csv = true;
     } else if (std::strcmp(arg, "--name-path") == 0) {
       opts.name_path = true;
-    } else if (std::strncmp(arg, "--qd=", 5) == 0) {
-      const uint64_t n = std::strtoull(arg + 5, nullptr, 10);
-      if (n > 0 && n <= UINT32_MAX) {
-        opts.queue_depth = static_cast<uint32_t>(n);
-      }
+    } else if ((v = value_of(arg, "--qd=")) != nullptr) {
+      if (!ParseCount(v, &opts.queue_depth)) bad(arg, "a positive integer");
     } else if (std::strcmp(arg, "--sync") == 0) {
       opts.queue_depth = 1;
-    } else if (std::strncmp(arg, "--cache-mb=", 11) == 0) {
-      opts.cache_mb = std::strtoull(arg + 11, nullptr, 10);
+    } else if ((v = value_of(arg, "--cache-mb=")) != nullptr) {
+      if (!ParseU64(v, &opts.cache_mb)) bad(arg, "a non-negative integer");
     } else if (std::strcmp(arg, "--no-overlap") == 0) {
       opts.no_overlap = true;
-    } else if (std::strncmp(arg, "--wall-repeats=", 15) == 0) {
-      const uint64_t n = std::strtoull(arg + 15, nullptr, 10);
-      if (n > 0 && n <= UINT32_MAX) {
-        opts.wall_repeats = static_cast<uint32_t>(n);
-      }
-    } else if (std::strncmp(arg, "--owners=", 9) == 0) {
-      const uint64_t n = std::strtoull(arg + 9, nullptr, 10);
-      if (n > 0 && n <= UINT32_MAX) {
-        opts.owners_per_spindle = static_cast<uint32_t>(n);
+    } else if ((v = value_of(arg, "--wall-repeats=")) != nullptr) {
+      if (!ParseCount(v, &opts.wall_repeats)) bad(arg, "a positive integer");
+    } else if ((v = value_of(arg, "--owners=")) != nullptr) {
+      if (!ParseCount(v, &opts.owners_per_spindle)) {
+        bad(arg, "a positive integer");
       }
     } else if (std::strcmp(arg, "--fifo") == 0) {
       opts.fifo = true;
-    } else if (std::strncmp(arg, "--shards=", 9) == 0 ||
-               std::strncmp(arg, "--threads=", 10) == 0) {
-      const char* value = arg + (arg[2] == 's' ? 9 : 10);
-      const uint64_t n = std::strtoull(value, nullptr, 10);
-      if (n > 0 && n <= UINT32_MAX) {
-        opts.shards = static_cast<uint32_t>(n);
-        opts.shards_set = true;
-      }
-    }
-  }
-  // Environment overrides used by CI sweeps.
-  if (const char* env = std::getenv("LOR_BENCH_SCALE")) {
-    opts.scale = std::atof(env) > 0.0 ? std::atof(env) : opts.scale;
-  }
-  if (const char* env = std::getenv("LOR_BENCH_SHARDS")) {
-    const uint64_t n = std::strtoull(env, nullptr, 10);
-    if (n > 0 && n <= UINT32_MAX) {
-      opts.shards = static_cast<uint32_t>(n);
+    } else if ((v = value_of(arg, "--shards=")) != nullptr ||
+               (v = value_of(arg, "--threads=")) != nullptr) {
+      if (!ParseCount(v, &opts.shards)) bad(arg, "a positive integer");
       opts.shards_set = true;
+    } else {
+      UsageExit(program, std::string("unknown argument '") + arg + "'");
     }
+  }
+  // Environment overrides used by CI sweeps; empty means unset.
+  const char* env = std::getenv("LOR_BENCH_SCALE");
+  if (env != nullptr && *env != '\0' && !ParseScale(env, &opts.scale)) {
+    UsageExit(program, std::string("malformed LOR_BENCH_SCALE='") + env +
+                           "' (expected small, paper or a positive number)");
+  }
+  env = std::getenv("LOR_BENCH_SHARDS");
+  if (env != nullptr && *env != '\0') {
+    if (!ParseCount(env, &opts.shards)) {
+      UsageExit(program, std::string("malformed LOR_BENCH_SHARDS='") + env +
+                             "' (expected a positive integer)");
+    }
+    opts.shards_set = true;
   }
   return opts;
 }

@@ -72,7 +72,9 @@ struct Options {
 
   /// Parses --scale=small|paper|<float>, --seed=N, --csv,
   /// --shards=N/--threads=N, --name-path, --qd=N, --sync, --cache-mb=N,
-  /// --no-overlap, --wall-repeats=N, --owners=N, --fifo.
+  /// --no-overlap, --wall-repeats=N, --owners=N, --fifo, then the
+  /// LOR_BENCH_SCALE / LOR_BENCH_SHARDS overrides. A malformed value or
+  /// an unknown argument prints the usage and exits 2.
   static Options FromArgs(int argc, char** argv);
 
   uint64_t ScaleBytes(uint64_t paper_bytes) const;

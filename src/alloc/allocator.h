@@ -34,6 +34,24 @@ class ExtentAllocator {
   virtual Status Allocate(uint64_t length, uint64_t extend_hint,
                           ExtentList* out) = 0;
 
+  /// Run-length twin of a sequential append loop: claims up to
+  /// `max_requests` back-to-back requests of `request_length` clusters
+  /// each, extending in place at `extend_hint`, and returns how many it
+  /// claimed. The claim is exactly what that many `Allocate(
+  /// request_length, hint)` calls would have produced while every one
+  /// of them extends the previous one in place (the clusters are
+  /// appended to `out` with AppendCoalescing). The first request that
+  /// would not — it spills into a new run, or forces a deferred-free
+  /// commit — is left unclaimed for the caller's Allocate. The default
+  /// claims nothing, so allocators without the hook (and wrappers that
+  /// do not forward it) keep the per-request path.
+  virtual uint64_t AllocateRun(uint64_t /*extend_hint*/,
+                               uint64_t /*request_length*/,
+                               uint64_t /*max_requests*/,
+                               ExtentList* /*out*/) {
+    return 0;
+  }
+
   /// Releases an extent. Depending on the implementation the space may
   /// not be reusable until the next Tick/commit.
   virtual Status Free(const Extent& extent) = 0;

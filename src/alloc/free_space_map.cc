@@ -329,6 +329,17 @@ uint64_t FreeSpaceMap::ExtendAt(uint64_t start, uint64_t max_length) {
   return take;
 }
 
+uint64_t FreeSpaceMap::FreeRunFrom(uint64_t start) const {
+  if (shrink_cache_valid_ && shrink_cache_it_->first == start) {
+    return shrink_cache_it_->second;  // The sequential-extension pattern.
+  }
+  auto it = runs_.upper_bound(start);
+  if (it == runs_.begin()) return 0;
+  --it;
+  const uint64_t end = it->first + it->second;
+  return start < end ? end - start : 0;
+}
+
 bool FreeSpaceMap::IsFree(const Extent& extent) const {
   if (extent.empty()) return false;
   auto it = runs_.upper_bound(extent.start);

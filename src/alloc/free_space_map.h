@@ -102,6 +102,11 @@ class FreeSpaceMap {
   /// `start` is not free).
   uint64_t ExtendAt(uint64_t start, uint64_t max_length);
 
+  /// Free clusters from `start` to the end of the free run containing
+  /// it: how many clusters ExtendAt(start, ...) could claim. 0 when
+  /// `start` is allocated.
+  uint64_t FreeRunFrom(uint64_t start) const;
+
   /// True if every cluster of `extent` is free.
   bool IsFree(const Extent& extent) const;
 

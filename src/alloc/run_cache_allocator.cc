@@ -128,6 +128,28 @@ Status RunCacheAllocator::Allocate(uint64_t length, uint64_t extend_hint,
   return Status::OK();
 }
 
+uint64_t RunCacheAllocator::AllocateRun(uint64_t extend_hint,
+                                        uint64_t request_length,
+                                        uint64_t max_requests,
+                                        ExtentList* out) {
+  if (!options_.allow_extension || extend_hint == kNoHint ||
+      request_length == 0) {
+    return 0;
+  }
+  // A request that fits in the free run at the hint is served by
+  // ExtendAt alone, and never trips Allocate's space-pressure commit:
+  // the run counts toward free_clusters(), so the request fits there
+  // too. Consecutive head takes of one run leave the map as one take of
+  // their sum does.
+  const uint64_t requests =
+      std::min(max_requests, map_.FreeRunFrom(extend_hint) / request_length);
+  if (requests == 0) return 0;
+  const uint64_t length = requests * request_length;
+  map_.ExtendAt(extend_hint, length);
+  AppendCoalescing(out, {extend_hint, length});
+  return requests;
+}
+
 Status RunCacheAllocator::Free(const Extent& extent) {
   if (extent.empty()) return Status::OK();
   if (options_.deferred_free) {

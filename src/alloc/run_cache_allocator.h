@@ -86,6 +86,8 @@ class RunCacheAllocator : public ExtentAllocator {
 
   Status Allocate(uint64_t length, uint64_t extend_hint,
                   ExtentList* out) override;
+  uint64_t AllocateRun(uint64_t extend_hint, uint64_t request_length,
+                       uint64_t max_requests, ExtentList* out) override;
   Status Free(const Extent& extent) override;
   void Tick() override;
   void CommitPending() override;

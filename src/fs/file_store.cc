@@ -586,19 +586,59 @@ Status FileStore::AppendStreamResolved(FileInfo* file, uint64_t length,
   // Per-request tracker syncs would re-count the whole extent list per
   // chunk (quadratic in extents for a fragmented stream); sync once at
   // the end instead — nothing reads the tracker mid-stream.
+  const bool direct = ActivePool() == nullptr;
   Status status = Status::OK();
   uint64_t written = 0;
   while (written < length) {
     const uint64_t chunk = std::min(request_bytes, length - written);
-    std::span<const uint8_t> slice =
-        data.empty() ? std::span<const uint8_t>()
-                     : data.subspan(written, chunk);
-    status = AppendToFile(file, chunk, slice, /*sync_tracker=*/false);
+    std::span<const uint8_t> rest =
+        data.empty() ? std::span<const uint8_t>() : data.subspan(written);
+    if (direct && chunk == request_bytes) {
+      uint64_t appended = 0;
+      status = AppendRun(file, request_bytes,
+                         (length - written) / request_bytes, rest, &appended);
+      if (!status.ok()) break;
+      if (appended > 0) {
+        written += appended;
+        continue;
+      }
+    }
+    status = AppendToFile(file, chunk, rest.first(data.empty() ? 0 : chunk),
+                          /*sync_tracker=*/false);
     if (!status.ok()) break;
     written += chunk;
   }
   SyncTracker(file);
   return status;
+}
+
+Status FileStore::AppendRun(FileInfo* file, uint64_t request_bytes,
+                            uint64_t max_requests,
+                            std::span<const uint8_t> data,
+                            uint64_t* appended) {
+  *appended = 0;
+  const uint64_t cluster = options_.cluster_bytes;
+  // Every request of the run must grow the layout by the same whole
+  // number of clusters at the tail, which holds when the file ends
+  // exactly on its allocation (no slack, no preallocation).
+  if (file->extents.empty() || request_bytes % cluster != 0 ||
+      file->size_bytes != file->allocated_clusters * cluster) {
+    return Status::OK();
+  }
+  const uint64_t tail_end = file->extents.back().end();
+  const uint64_t requests = allocator_->AllocateRun(
+      tail_end, request_bytes / cluster, max_requests, &file->extents);
+  if (requests == 0) return Status::OK();
+  const uint64_t bytes = requests * request_bytes;
+  file->allocated_clusters += bytes / cluster;
+  std::span<const uint8_t> run_data =
+      data.empty() ? data : data.first(bytes);
+  LOR_RETURN_IF_ERROR(device_->WriteStreamRun(
+      tail_end * cluster, request_bytes, requests, run_data,
+      options_.costs.fs_stream_bandwidth));
+  NoteAppended(file, bytes, requests, run_data);
+  *appended = bytes;
+  return Status::OK();
 }
 
 Status FileStore::AppendToFile(FileInfo* file, uint64_t length,
@@ -664,7 +704,14 @@ Status FileStore::AppendToFile(FileInfo* file, uint64_t length,
     }
   }
   device_->EndStreamWindow(length, options_.costs.fs_stream_bandwidth);
+  NoteAppended(file, length, /*requests=*/1, data);
+  if (sync_tracker) SyncTracker(file);
+  return Status::OK();
+}
 
+void FileStore::NoteAppended(FileInfo* file, uint64_t length,
+                             uint64_t requests,
+                             std::span<const uint8_t> data) {
   // Streamed FNV-1a keeps hash(file) == hash(all appended bytes);
   // timing-only appends carry no bytes, so the hash goes unknowable.
   if (data.empty()) {
@@ -692,9 +739,7 @@ Status FileStore::AppendToFile(FileInfo* file, uint64_t length,
   }
   file->size_bytes += length;
   stats_.live_bytes += length;
-  if (sync_tracker) SyncTracker(file);
-  ++stats_.appends;
-  return Status::OK();
+  stats_.appends += requests;
 }
 
 Status FileStore::Read(const std::string& name, uint64_t offset,

@@ -470,6 +470,23 @@ class FileStore {
                               uint64_t request_bytes,
                               std::span<const uint8_t> data);
 
+  /// Run-length form of the AppendStream loop: when the next requests
+  /// of `request_bytes` each extend the tail extent in place, claims up
+  /// to `max_requests` of them with one allocator call and charges them
+  /// with one device call — the same layout, clock and stats as that
+  /// many AppendToFile calls. Sets `appended` to the bytes appended; 0
+  /// when the next request must take the per-request path (no run at
+  /// the tail, slack or preallocated clusters, or an allocator without
+  /// the run hook).
+  Status AppendRun(FileInfo* file, uint64_t request_bytes,
+                   uint64_t max_requests, std::span<const uint8_t> data,
+                   uint64_t* appended);
+
+  /// Append bookkeeping shared by AppendToFile and AppendRun: payload
+  /// hash and block checksums, size, live bytes, and `requests` appends.
+  void NoteAppended(FileInfo* file, uint64_t length, uint64_t requests,
+                    std::span<const uint8_t> data);
+
   /// Re-reports `file`'s fragment count and size to the tracker after a
   /// layout or size mutation.
   void SyncTracker(FileInfo* file);

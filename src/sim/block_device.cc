@@ -186,7 +186,7 @@ Status BlockDevice::CheckRange(uint64_t offset, uint64_t len) const {
 }
 
 double BlockDevice::ServiceRequest(bool /*write*/, uint64_t offset,
-                                   uint64_t len) {
+                                   uint64_t len, TransferMemo* memo) {
   // An owner view services against the hub's head, seek curve, and
   // physical zone layout; dedicated devices resolve hub == this and the
   // arithmetic below is the historical sequence unchanged.
@@ -211,7 +211,9 @@ double BlockDevice::ServiceRequest(bool /*write*/, uint64_t offset,
       stats_.interference_seek_time_s += seek + rot;
     }
   }
-  const double transfer = hub->model_.TransferTime(phys, len);
+  const double transfer = memo != nullptr
+                              ? memo->Get(hub->model_, phys, len)
+                              : hub->model_.TransferTime(phys, len);
   stats_.transfer_time_s += transfer;
   t += transfer;
   if (media_ != nullptr) {
@@ -527,6 +529,54 @@ void BlockDevice::EndStreamWindow(uint64_t len,
   }
   ChargeCpu(OpCostModel::StreamPenalty(len, bandwidth_cap_bytes_per_s,
                                        clock().now() - window_t0_));
+}
+
+Status BlockDevice::WriteStreamRun(uint64_t offset, uint64_t len,
+                                   uint64_t count,
+                                   std::span<const uint8_t> data,
+                                   double bandwidth_cap_bytes_per_s) {
+  if (len == 0 || count == 0) return Status::OK();
+  if (len > capacity() / count) {
+    return Status::InvalidArgument("request beyond device capacity");
+  }
+  LOR_RETURN_IF_ERROR(CheckRange(offset, len * count));
+  if (!data.empty() && data.size() != len * count) {
+    return Status::InvalidArgument("data size does not match request length");
+  }
+  // Request by request, the Begin/Write/EndStreamWindow sequence; only
+  // the stream penalty's stack term and the transfer time are shared.
+  const uint8_t* src = data.empty() ? nullptr : data.data();
+  const bool async = AsyncActive();
+  SimClock& clk = clock();
+  const double stack_s =
+      static_cast<double>(len) / bandwidth_cap_bytes_per_s;
+  TransferMemo memo;
+  for (uint64_t i = 0; i < count; ++i, offset += len) {
+    if (async) {
+      scheduler_->EnqueueWindowBegin();
+    } else {
+      window_t0_ = clk.now();
+    }
+    NoteMediaWrite(offset, len);
+    const uint64_t tag = NoteWriteSubmission(offset, len);
+    if (async) {
+      scheduler_->EnqueueRequest(/*write=*/true, offset, len, nullptr, tag);
+    } else {
+      clk.Advance(ServiceRequest(/*write=*/true, offset, len, &memo));
+      NoteWriteServiced(tag);
+    }
+    ++stats_.writes;
+    stats_.bytes_written += len;
+    if (mode_ == DataMode::kRetain) {
+      StoreBytes(offset, src == nullptr ? nullptr : src + i * len, len);
+    }
+    if (async) {
+      scheduler_->EnqueueWindowEnd(len, bandwidth_cap_bytes_per_s);
+    } else {
+      clk.Advance(OpCostModel::StackPenalty(stack_s, clk.now() - window_t0_));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace sim

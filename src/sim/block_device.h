@@ -243,6 +243,22 @@ class BlockDevice {
   void BeginStreamWindow();
   void EndStreamWindow(uint64_t len, double bandwidth_cap_bytes_per_s);
 
+  /// Run-length form of `count` back-to-back stream-windowed writes of
+  /// `len` bytes at offset, offset+len, ...: charges exactly what
+  /// `count` repetitions of
+  ///   BeginStreamWindow(); Write(offset_i, len, slice_i);
+  ///   EndStreamWindow(len, bandwidth_cap_bytes_per_s);
+  /// would, with every float addition in the same order. Each request
+  /// keeps its own stream window, service charge, injector tag, media
+  /// write intake, payload store and (under an engaged scheduler) chain
+  /// entries; only host work is hoisted — one range validation, one
+  /// stream-term division, one transfer-time division per zone. `data`
+  /// is empty (timing only) or exactly count*len bytes. A run with no
+  /// bytes (count or len 0) is a no-op.
+  Status WriteStreamRun(uint64_t offset, uint64_t len, uint64_t count,
+                        std::span<const uint8_t> data,
+                        double bandwidth_cap_bytes_per_s);
+
   /// Wires up (or detaches, with null) the submission scheduler. The
   /// scheduler must outlive every subsequent request on this device.
   void AttachScheduler(IoScheduler* scheduler) { scheduler_ = scheduler; }
@@ -367,8 +383,10 @@ class BlockDevice {
   /// stamps the time-decomposition stats, moves the head, and returns
   /// the request's service seconds — without touching the clock. The
   /// synchronous path advances the clock by the return value; the
-  /// scheduler places it on its own timeline.
-  double ServiceRequest(bool write, uint64_t offset, uint64_t len);
+  /// scheduler places it on its own timeline. `memo` (optional) serves
+  /// the transfer time of a run of equal-length requests.
+  double ServiceRequest(bool write, uint64_t offset, uint64_t len,
+                        TransferMemo* memo = nullptr);
   /// Flush twin of ServiceRequest (invalidates sequentiality).
   double ServiceFlush();
   /// True when an engaged scheduler should absorb timing charges.

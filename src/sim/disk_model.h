@@ -81,9 +81,40 @@ class DiskModel {
   /// Seconds for one full revolution.
   double RevolutionTime() const;
 
+  /// Bytes per recording zone; TransferTime splits requests at its
+  /// multiples.
+  uint64_t zone_size_bytes() const { return zone_size_bytes_; }
+
  private:
   DiskParams params_;
   uint64_t zone_size_bytes_;
+};
+
+/// TransferTime memo for a stream of equal-length requests. A request
+/// inside one zone costs exactly `nbytes / BandwidthAt(zone)`, so every
+/// further request of the same length in that zone reuses the one
+/// division. Results are bit-identical to DiskModel::TransferTime.
+class TransferMemo {
+ public:
+  double Get(const DiskModel& model, uint64_t byte_offset, uint64_t nbytes) {
+    const uint64_t zone_bytes = model.zone_size_bytes();
+    const uint64_t zone = byte_offset / zone_bytes;
+    const bool one_zone =
+        nbytes > 0 && (byte_offset + nbytes - 1) / zone_bytes == zone;
+    if (one_zone && zone == zone_ && nbytes == nbytes_) return seconds_;
+    const double seconds = model.TransferTime(byte_offset, nbytes);
+    if (one_zone) {
+      zone_ = zone;
+      nbytes_ = nbytes;
+      seconds_ = seconds;
+    }
+    return seconds;
+  }
+
+ private:
+  uint64_t zone_ = ~0ULL;
+  uint64_t nbytes_ = 0;
+  double seconds_ = 0.0;
 };
 
 }  // namespace sim

@@ -54,7 +54,11 @@ struct OpCostModel {
   /// `device_seconds`; the difference is charged as CPU.
   static double StreamPenalty(uint64_t len, double cap,
                               double device_seconds) {
-    const double stack_seconds = static_cast<double>(len) / cap;
+    return StackPenalty(static_cast<double>(len) / cap, device_seconds);
+  }
+  /// StreamPenalty with the stack's `len / cap` seconds precomputed (a
+  /// run of equal-length requests divides once).
+  static double StackPenalty(double stack_seconds, double device_seconds) {
     return std::max(0.0, stack_seconds - device_seconds);
   }
 };

@@ -226,6 +226,174 @@ TEST(RunCacheAllocatorTest, OuterBandPreferredWhenRunFits) {
   EXPECT_EQ(out[0].start, 400u);
 }
 
+// -- RunCacheAllocator::AllocateRun ------------------------------------
+//
+// The run hook must claim exactly what the per-request loop of
+// Allocate(request, hint) calls claims while each call extends in place,
+// and stop at the first request that would not.
+
+/// Clusters parked in the deferred-free queue.
+uint64_t Pending(const RunCacheAllocator& a) {
+  return a.total_unused_clusters() - a.free_clusters();
+}
+
+/// Replays `requests` per-request Allocate calls on `a`, asserting that
+/// each one extends in place at `hint + i * request` without a commit.
+void PerRequestLoop(RunCacheAllocator* a, uint64_t hint, uint64_t request,
+                    uint64_t requests, ExtentList* out) {
+  for (uint64_t i = 0; i < requests; ++i) {
+    const uint64_t at = hint + i * request;
+    const uint64_t pending = Pending(*a);
+    ASSERT_TRUE(a->Allocate(request, at, out).ok());
+    ASSERT_EQ(out->back().end(), at + request);
+    ASSERT_EQ(Pending(*a), pending) << "request " << i << " committed";
+  }
+}
+
+/// True when one more Allocate(request, hint) on a copy of `a` would
+/// also extend fully in place without forcing a commit — i.e. the run
+/// hook stopped too early.
+bool NextRequestExtendsInPlace(const RunCacheAllocator& a, uint64_t hint,
+                               uint64_t request) {
+  RunCacheAllocator copy = a;
+  ExtentList out;
+  const uint64_t pending = Pending(copy);
+  if (!copy.Allocate(request, hint, &out).ok()) return false;
+  return out.size() == 1 && out.front() == Extent{hint, request} &&
+         Pending(copy) == pending;
+}
+
+TEST(RunCacheAllocateRunTest, HintInsideFreeRunSplitsLikeExtendAt) {
+  RunCacheAllocator run(1000, {});
+  RunCacheAllocator loop = run;
+  ExtentList run_out, loop_out;
+  EXPECT_EQ(run.AllocateRun(100, 10, 5, &run_out), 5u);
+  PerRequestLoop(&loop, 100, 10, 5, &loop_out);
+  EXPECT_EQ(run_out, (ExtentList{{100, 50}}));
+  EXPECT_EQ(run_out, loop_out);
+  EXPECT_EQ(run.map().Snapshot(), loop.map().Snapshot());
+  EXPECT_EQ(run.map().Snapshot(), (std::vector<Extent>{{0, 100}, {150, 850}}));
+  EXPECT_TRUE(run.map().CheckConsistency().ok());
+}
+
+TEST(RunCacheAllocateRunTest, RunEndingMidRequestLeavesThatRequest) {
+  RunCacheAllocator run(1000, {.deferred_free = false});
+  ExtentList file;
+  ASSERT_TRUE(run.Allocate(40, kNoHint, &file).ok());
+  ASSERT_TRUE(run.mutable_map()->AllocateAt({file.back().end() + 25, 10}).ok());
+  RunCacheAllocator loop = run;
+  ExtentList loop_file = file;
+  const uint64_t hint = file.back().end();
+  // 25 free clusters at the tail: two whole 10-cluster requests.
+  EXPECT_EQ(run.AllocateRun(hint, 10, 8, &file), 2u);
+  PerRequestLoop(&loop, hint, 10, 2, &loop_file);
+  EXPECT_EQ(file, loop_file);
+  EXPECT_EQ(run.map().Snapshot(), loop.map().Snapshot());
+  EXPECT_FALSE(NextRequestExtendsInPlace(run, hint + 20, 10));
+}
+
+TEST(RunCacheAllocateRunTest, StopsBeforeTheRequestThatForcesACommit) {
+  // Free space within one request of exhaustion, with a deferred free
+  // adjacent to the tail's free run: the third per-request Allocate
+  // forces the journal commit, after which it extends in place. The
+  // hook must not claim it, and must leave the queue alone.
+  RunCacheAllocator run(100, {.commit_interval = 1000});
+  ExtentList all;
+  ASSERT_TRUE(run.Allocate(100, kNoHint, &all).ok());
+  ASSERT_TRUE(run.Free({40, 25}).ok());
+  run.CommitPending();
+  ASSERT_TRUE(run.Free({65, 20}).ok());
+  ASSERT_EQ(run.free_clusters(), 25u);
+  ASSERT_EQ(Pending(run), 20u);
+
+  RunCacheAllocator loop = run;
+  ExtentList file{{0, 40}};
+  ExtentList loop_file = file;
+  EXPECT_EQ(run.AllocateRun(40, 10, 5, &file), 2u);
+  EXPECT_EQ(Pending(run), 20u);
+  EXPECT_EQ(run.free_clusters(), 5u);
+  PerRequestLoop(&loop, 40, 10, 2, &loop_file);
+  EXPECT_EQ(file, loop_file);
+  EXPECT_EQ(run.map().Snapshot(), loop.map().Snapshot());
+
+  // The per-request path's third call: commit, then in-place extension.
+  ExtentList third = loop_file;
+  ASSERT_TRUE(loop.Allocate(10, 60, &third).ok());
+  EXPECT_EQ(Pending(loop), 0u);
+  EXPECT_EQ(third, (ExtentList{{0, 70}}));
+  EXPECT_FALSE(NextRequestExtendsInPlace(run, 60, 10));
+}
+
+TEST(RunCacheAllocateRunTest, NoRunWithoutHintOrExtension) {
+  RunCacheAllocator run(1000, {});
+  ExtentList out;
+  EXPECT_EQ(run.AllocateRun(kNoHint, 10, 5, &out), 0u);
+  EXPECT_EQ(run.AllocateRun(100, 0, 5, &out), 0u);
+  EXPECT_EQ(run.AllocateRun(100, 10, 0, &out), 0u);
+  RunCacheAllocator no_extension(1000, {.allow_extension = false});
+  EXPECT_EQ(no_extension.AllocateRun(100, 10, 5, &out), 0u);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(run.free_clusters(), 1000u);
+  // Allocators without the hook claim nothing.
+  PolicyAllocator policy(1000, {});
+  EXPECT_EQ(policy.AllocateRun(100, 10, 5, &out), 0u);
+}
+
+TEST(RunCacheAllocateRunTest, MatchesPerRequestLoopOnRandomChurn) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    RunCacheAllocator a(4096, {.commit_interval = 3}, /*reserved=*/64);
+    std::vector<ExtentList> files;
+    for (int step = 0; step < 3000; ++step) {
+      const uint64_t pick = rng.Uniform(10);
+      if (pick < 3 || files.empty()) {
+        ExtentList f;
+        if (a.Allocate(rng.UniformRange(1, 64), kNoHint, &f).ok()) {
+          files.push_back(std::move(f));
+        }
+      } else if (pick < 5) {
+        ExtentList& f = files[rng.Uniform(files.size())];
+        Status s = a.Allocate(rng.UniformRange(1, 32), f.back().end(), &f);
+        (void)s;
+      } else if (pick < 7) {
+        const size_t victim = rng.Uniform(files.size());
+        for (const Extent& e : files[victim]) ASSERT_TRUE(a.Free(e).ok());
+        files.erase(files.begin() + static_cast<std::ptrdiff_t>(victim));
+        a.Tick();
+      } else {
+        // Probe: a file's tail, or any cluster (inside a free run, at a
+        // run head, or allocated).
+        const bool tail = rng.Bernoulli(0.7) && !files.empty();
+        const size_t fi = tail ? rng.Uniform(files.size()) : 0;
+        const uint64_t hint =
+            tail ? files[fi].back().end() : rng.UniformRange(64, 4095);
+        const uint64_t request = rng.UniformRange(1, 24);
+        const uint64_t max_requests = rng.UniformRange(1, 40);
+        RunCacheAllocator loop = a;
+        ExtentList out = tail ? files[fi] : ExtentList{};
+        ExtentList loop_out = out;
+        const uint64_t n = a.AllocateRun(hint, request, max_requests, &out);
+        PerRequestLoop(&loop, hint, request, n, &loop_out);
+        ASSERT_EQ(out, loop_out);
+        ASSERT_EQ(a.map().Snapshot(), loop.map().Snapshot());
+        ASSERT_EQ(a.free_clusters(), loop.free_clusters());
+        ASSERT_EQ(a.total_unused_clusters(), loop.total_unused_clusters());
+        ASSERT_TRUE(a.map().CheckConsistency().ok());
+        if (n < max_requests) {
+          ASSERT_FALSE(NextRequestExtendsInPlace(a, hint + n * request,
+                                                 request));
+        }
+        if (tail) {
+          files[fi] = std::move(out);
+        } else if (n > 0) {
+          files.push_back(std::move(out));
+        }
+      }
+    }
+  }
+}
+
 TEST(BuddyAllocatorTest, RoundsToPowerOfTwo) {
   EXPECT_EQ(BuddyAllocator::OrderFor(1), 0u);
   EXPECT_EQ(BuddyAllocator::OrderFor(2), 1u);

@@ -162,7 +162,9 @@ TEST(IoSchedulerTest, SubmitVEmptyBatchCompletesImmediately) {
   IoScheduler sched(&dev, &rec);
   dev.AttachScheduler(&sched);
   for (bool engaged : {false, true}) {
-    if (engaged) ASSERT_TRUE(sched.Engage(4, SchedPolicy::kSptf).ok());
+    if (engaged) {
+      ASSERT_TRUE(sched.Engage(4, SchedPolicy::kSptf).ok());
+    }
     const double before = dev.clock().now();
     int fired = 0;
     ASSERT_TRUE(dev.SubmitV({}, [&](double t, const Status&) {
@@ -174,7 +176,9 @@ TEST(IoSchedulerTest, SubmitVEmptyBatchCompletesImmediately) {
     EXPECT_EQ(dev.stats().vectored_requests, 0u);
     // Null-callback form is legal too.
     ASSERT_TRUE(dev.SubmitV({}).ok());
-    if (engaged) ASSERT_TRUE(sched.Disengage().ok());
+    if (engaged) {
+      ASSERT_TRUE(sched.Disengage().ok());
+    }
   }
 }
 
