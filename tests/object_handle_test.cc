@@ -179,41 +179,6 @@ TEST_P(ObjectHandleContractTest, OpenForWriteCreatesOnFirstSafeWrite) {
   EXPECT_TRUE(repo->Release(&*handle).ok());
 }
 
-TEST_P(ObjectHandleContractTest, DoubleReleaseFails) {
-  auto repo = GetParam().make(sim::DataMode::kMetadataOnly);
-  ASSERT_TRUE(repo->Put("k", 128 * kKiB).ok());
-  auto handle = repo->Open("k");
-  ASSERT_TRUE(handle.ok());
-  EXPECT_TRUE(repo->Release(&*handle).ok());
-  EXPECT_FALSE(repo->Release(&*handle).ok());  // Ticket already dead.
-  EXPECT_FALSE(handle->valid());
-}
-
-TEST_P(ObjectHandleContractTest, UseAfterDeleteFails) {
-  auto repo = GetParam().make(sim::DataMode::kMetadataOnly);
-  ASSERT_TRUE(repo->Put("k", 128 * kKiB).ok());
-
-  // Deleting by name invalidates an open handle...
-  auto handle = repo->OpenForWrite("k");
-  ASSERT_TRUE(handle.ok());
-  ASSERT_TRUE(repo->Delete("k").ok());
-  EXPECT_FALSE(repo->Get(*handle).ok());
-  EXPECT_FALSE(repo->SafeWrite(*handle, 64 * kKiB).ok());
-  EXPECT_FALSE(repo->GetLayout(*handle).ok());
-  EXPECT_FALSE(repo->Release(&*handle).ok());  // Slot already reclaimed.
-
-  // ...and deleting through one handle invalidates the others.
-  ASSERT_TRUE(repo->Put("k", 128 * kKiB).ok());
-  auto writer = repo->OpenForWrite("k");
-  auto reader = repo->Open("k");
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(reader.ok());
-  ASSERT_TRUE(repo->Delete(&*writer).ok());
-  EXPECT_FALSE(writer->valid());
-  EXPECT_FALSE(repo->Get(*reader).ok());
-  EXPECT_FALSE(repo->Exists("k"));
-}
-
 TEST_P(ObjectHandleContractTest, HandleMisuseIsRejected) {
   auto repo = GetParam().make(sim::DataMode::kMetadataOnly);
   auto other = GetParam().make(sim::DataMode::kMetadataOnly);
@@ -246,6 +211,59 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BackendCase>& info) {
       return info.param.label;
     });
+
+// Handle lifetime misuse. Parameterized by the back-end label alone so
+// the registered test names are reproducible: gtest prints a BackendCase
+// (it holds a std::function) as raw object bytes, heap addresses
+// included, and ctest names embed that text.
+class ObjectHandleLifetimeTest : public ::testing::TestWithParam<std::string> {
+ protected:
+  std::unique_ptr<ObjectRepository> Make() {
+    return GetParam() == "filesystem" ? MakeFs(sim::DataMode::kMetadataOnly)
+                                      : MakeDb(sim::DataMode::kMetadataOnly);
+  }
+};
+
+TEST_P(ObjectHandleLifetimeTest, DoubleReleaseFails) {
+  auto repo = Make();
+  ASSERT_TRUE(repo->Put("k", 128 * kKiB).ok());
+  auto handle = repo->Open("k");
+  ASSERT_TRUE(handle.ok());
+  EXPECT_TRUE(repo->Release(&*handle).ok());
+  EXPECT_FALSE(repo->Release(&*handle).ok());  // Ticket already dead.
+  EXPECT_FALSE(handle->valid());
+}
+
+TEST_P(ObjectHandleLifetimeTest, UseAfterDeleteFails) {
+  auto repo = Make();
+  ASSERT_TRUE(repo->Put("k", 128 * kKiB).ok());
+
+  // Deleting by name invalidates an open handle...
+  auto handle = repo->OpenForWrite("k");
+  ASSERT_TRUE(handle.ok());
+  ASSERT_TRUE(repo->Delete("k").ok());
+  EXPECT_FALSE(repo->Get(*handle).ok());
+  EXPECT_FALSE(repo->SafeWrite(*handle, 64 * kKiB).ok());
+  EXPECT_FALSE(repo->GetLayout(*handle).ok());
+  EXPECT_FALSE(repo->Release(&*handle).ok());  // Slot already reclaimed.
+
+  // ...and deleting through one handle invalidates the others.
+  ASSERT_TRUE(repo->Put("k", 128 * kKiB).ok());
+  auto writer = repo->OpenForWrite("k");
+  auto reader = repo->Open("k");
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(reader.ok());
+  ASSERT_TRUE(repo->Delete(&*writer).ok());
+  EXPECT_FALSE(writer->valid());
+  EXPECT_FALSE(repo->Get(*reader).ok());
+  EXPECT_FALSE(repo->Exists("k"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ObjectHandleLifetimeTest,
+                         ::testing::Values("filesystem", "database"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           return info.param;
+                         });
 
 // ---------------------------------------------------------------------
 // Back-end specifics.
