@@ -1,81 +1,18 @@
 #include "core/db_repository.h"
 
-#include <algorithm>
-#include <cassert>
-
-#include "sim/fault_injector.h"
-#include "util/fnv.h"
-
 namespace lor {
 namespace core {
 
 DbRepository::DbRepository(DbRepositoryConfig config)
-    : config_(std::move(config)) {
-  if (config_.spindle != nullptr) {
-    // Shared spindle for the data volume; the log device below stays
-    // dedicated (see the config comment). Format charges run
-    // synchronously on the hub clock — construction is serial, before
-    // any plane traffic — and the scheduler is ported afterwards.
-    data_device_ = config_.spindle->CreateOwnerDevice(config_.spindle_owner);
-    assert(data_device_->capacity() == config_.volume_bytes &&
-           "plane region must match volume_bytes");
-  } else {
-    data_device_ = std::make_unique<sim::BlockDevice>(
-        config_.disk.WithCapacity(config_.volume_bytes), config_.data_mode);
-  }
-  pool_ = std::make_unique<sim::BufferPool>(data_device_.get(), config_.cache);
-  data_device_->AttachBufferPool(pool_.get());
+    : VolumeRepository(config), config_(std::move(config)) {
   if (config_.log_volume_bytes > 0) {
     log_device_ = std::make_unique<sim::BlockDevice>(
         config_.disk.WithCapacity(config_.log_volume_bytes),
         sim::DataMode::kMetadataOnly);
   }
-  store_ = std::make_unique<db::BlobStore>(data_device_.get(),
-                                           log_device_.get(), config_.store);
-  scheduler_ =
-      std::make_unique<sim::IoScheduler>(data_device_.get(), &latency_);
-  data_device_->AttachScheduler(scheduler_.get());
-  if (config_.spindle != nullptr) {
-    scheduler_->AttachSpindle(config_.spindle.get(), config_.spindle_owner);
-  }
-}
-
-Status DbRepository::SetQueueDepth(uint32_t depth, sim::SchedPolicy policy) {
-  if (depth == 0) {
-    return Status::InvalidArgument("queue depth must be at least 1");
-  }
-  if (depth == 1) return scheduler_->Disengage();
-  return scheduler_->Engage(depth, policy);
-}
-
-Status DbRepository::DrainIo() {
-  // Dirty cached frames count as in-flight work: flush them onto the
-  // queue before draining it (see FsRepository::DrainIo, including the
-  // shared-spindle op-scope rationale).
-  {
-    sim::OpScope scope(scheduler_->port_mode() ? scheduler_.get() : nullptr,
-                       sim::OpClass::kControl);
-    LOR_RETURN_IF_ERROR(pool_->FlushAll());
-  }
-  scheduler_->Drain();
-  return Status::OK();
-}
-
-Status DbRepository::SettleIo() {
-  // See FsRepository::SettleIo — no drain and no cache flush on a
-  // dedicated spindle, a phase fence (and nothing else) on a shared
-  // one.
-  if (!scheduler_->port_mode()) return Status::OK();
-  scheduler_->SettlePhase();
-  return Status::OK();
-}
-
-bool DbRepository::shared_spindle() const { return scheduler_->port_mode(); }
-
-Status DbRepository::FlushCache() {
-  sim::OpScope scope(scheduler_->port_mode() ? scheduler_.get() : nullptr,
-                     sim::OpClass::kControl);
-  return pool_->FlushAll();
+  store_ = std::make_unique<db::BlobStore>(device_.get(), log_device_.get(),
+                                           config_.store);
+  AttachScheduler();
 }
 
 // -- Handle surface ----------------------------------------------------
@@ -231,21 +168,11 @@ uint64_t DbRepository::live_bytes() const {
   return store_->stats().live_bytes;
 }
 
-uint64_t DbRepository::volume_bytes() const {
-  return data_device_->capacity();
-}
-
 uint64_t DbRepository::free_bytes() const {
   // Unused space = free extents inside the file plus the unallocated
   // remainder of the volume.
   return store_->FreeBytes() +
-         (data_device_->capacity() - store_->page_file().file_bytes());
-}
-
-double DbRepository::now() const { return scheduler_->Now(); }
-
-sim::IoStats DbRepository::device_stats() const {
-  return data_device_->stats();
+         (device_->capacity() - store_->page_file().file_bytes());
 }
 
 Status DbRepository::CheckConsistency() const {
@@ -254,27 +181,8 @@ Status DbRepository::CheckConsistency() const {
 
 // -- Crash recovery & verification -------------------------------------
 
-Result<MountReport> DbRepository::Mount() {
-  if (scheduler_->port_mode()) {
-    return Status::NotSupported(
-        "crash simulation is per-spindle: Mount is unavailable in "
-        "shared-spindle mode");
-  }
-  const double t0 = data_device_->clock().now();
-  sim::FaultInjector* injector = data_device_->fault_injector();
-  if (injector != nullptr && injector->tripped()) {
-    // The power cut killed whatever the scheduler still held; the queue
-    // is dead, not drainable, and both spindles restart cold.
-    scheduler_->Abandon();
-    data_device_->NotePowerCycle();
-    if (log_device_ != nullptr) log_device_->NotePowerCycle();
-  } else {
-    // Clean remount: dirty frames reach the platter before the cache
-    // forgets them. After a crash they are (correctly) just lost.
-    LOR_RETURN_IF_ERROR(pool_->FlushAll());
-  }
-  // DRAM died with the power: mount starts cold.
-  pool_->Reset();
+Result<MountReport> DbRepository::RecoverStore(bool power_cycled) {
+  if (power_cycled && log_device_ != nullptr) log_device_->NotePowerCycle();
   LOR_ASSIGN_OR_RETURN(db::BlobRecoveryStats rs, store_->Recover());
   MountReport report;
   report.entries_scanned = rs.entries_scanned;
@@ -282,7 +190,6 @@ Result<MountReport> DbRepository::Mount() {
   report.ops_rolled_back = rs.ops_rolled_back + rs.torn_rolled_back;
   report.lost_objects = rs.lost_objects;
   report.data_loss_bytes = rs.data_loss_bytes;
-  report.recovery_seconds = data_device_->clock().now() - t0;
   return report;
 }
 
@@ -296,7 +203,7 @@ Result<FsckReport> DbRepository::Fsck() {
   // allocation hazard.
   uint64_t referenced = 0;
   std::vector<std::pair<std::string, uint64_t>> hashed;
-  const bool retain = data_device_->data_mode() == sim::DataMode::kRetain;
+  const bool retain = device_->data_mode() == sim::DataMode::kRetain;
   store_->VisitBlobs([&](const std::string& key,
                          const db::BlobLayout& layout) {
     referenced += layout.data_page_count() + layout.pointer_pages.size();
@@ -319,83 +226,27 @@ Result<FsckReport> DbRepository::Fsck() {
 
   // Payload verification: re-read every object written with real bytes
   // and compare against the hash recorded at write time.
-  for (const auto& [key, expected] : hashed) {
-    std::vector<uint8_t> payload;
-    Status read = store_->Get(key, &payload);
-    if (!read.ok()) {
-      report.issues.push_back({FsckIssue::Kind::kLostObject,
-                               key + ": " + read.message()});
-      continue;
-    }
-    ++report.payloads_hashed;
-    if (Fnv(payload) != expected) {
-      report.issues.push_back({FsckIssue::Kind::kTornPayload,
-                               key + ": stored bytes fail recorded hash"});
-    }
-  }
+  VerifyPayloads(
+      hashed,
+      [&](const std::string& key, std::vector<uint8_t>* out) {
+        return store_->Get(key, out);
+      },
+      &report);
   report.quarantined_units = store_->quarantined_page_count();
   return report;
 }
 
-Result<ScrubReport> DbRepository::Scrub(const ScrubOptions& options) {
-  ScrubReport report;
-  std::vector<std::string> keys = store_->ListKeys();
-  std::sort(keys.begin(), keys.end());
-  if (keys.empty()) {
-    scrub_cursor_.clear();
-    return report;
+void DbRepository::RepairRetriedRead(const std::string& key,
+                                     std::span<const uint8_t> payload,
+                                     ScrubReport* report) {
+  sim::OpScope scope(scheduler_.get(), sim::OpClass::kControl);
+  const uint64_t quarantined_before = store_->quarantined_page_count();
+  if (store_->MarkPendingBad(key).ok() &&
+      store_->Replace(key, payload.size(), payload).ok()) {
+    ++report->repaired;
   }
-  size_t start = 0;
-  if (!scrub_cursor_.empty()) {
-    const auto it =
-        std::upper_bound(keys.begin(), keys.end(), scrub_cursor_);
-    start = static_cast<size_t>(it - keys.begin()) % keys.size();
-  }
-  const uint64_t budget =
-      options.max_objects == 0 ? keys.size() : options.max_objects;
-  const sim::MediaFaultModel* media = data_device_->media_faults();
-  std::vector<uint8_t> payload;
-  for (uint64_t i = 0; i < budget && i < keys.size(); ++i) {
-    const std::string& key = keys[(start + i) % keys.size()];
-    scrub_cursor_ = key;
-    const uint64_t errors_before =
-        media != nullptr ? media->stats().read_errors : 0;
-    const Status read = Get(key, &payload);  // Charged like a client read.
-    ++report.objects_scanned;
-    if (read.ok()) {
-      report.bytes_scanned += payload.size();
-      // The read succeeded but needed media retries: a transient latent
-      // sector error lives under this blob. Repair by supersession —
-      // safe-write the payload onto fresh pages and retire the suspect
-      // ones via the quarantine divert at free time.
-      if (options.repair && media != nullptr &&
-          media->stats().read_errors > errors_before) {
-        sim::OpScope scope(scheduler_.get(), sim::OpClass::kControl);
-        const uint64_t quarantined_before = store_->quarantined_page_count();
-        if (store_->MarkPendingBad(key).ok()) {
-          const Status moved =
-              store_->Replace(key, payload.size(), payload);
-          if (moved.ok()) ++report.repaired;
-        }
-        report.quarantined_units +=
-            store_->quarantined_page_count() - quarantined_before;
-      }
-    } else if (read.IsNotFound()) {
-      continue;  // Deleted since the listing: not a media problem.
-    } else if (read.IsCorruption()) {
-      ++report.corruptions_detected;
-      ++report.unrecoverable;
-    } else if (read.IsIoError()) {
-      ++report.read_errors;
-      ++report.unrecoverable;
-    } else {
-      return read;  // The scrubber itself failed; surface it.
-    }
-    if (options.max_bytes != 0 && report.bytes_scanned >= options.max_bytes) {
-      break;
-    }
-  }
-  return report;
+  report->quarantined_units +=
+      store_->quarantined_page_count() - quarantined_before;
 }
 
 }  // namespace core

@@ -24,46 +24,25 @@
 #include <string>
 #include <vector>
 
-#include "core/object_repository.h"
+#include "core/volume_repository.h"
 #include "fs/file_store.h"
-#include "sim/block_device.h"
-#include "sim/buffer_pool.h"
-#include "sim/spindle_plane.h"
 
 namespace lor {
 namespace core {
 
 /// Configuration of the filesystem-backed repository.
-struct FsRepositoryConfig {
-  /// Data volume size.
-  uint64_t volume_bytes = 40 * kGiB;
-  /// Drive model; capacity is overridden by volume_bytes.
-  sim::DiskParams disk = sim::DiskParams::St3400832as();
-  /// Retain payload bytes (tests only).
-  sim::DataMode data_mode = sim::DataMode::kMetadataOnly;
+struct FsRepositoryConfig : VolumeConfig {
   /// Size of the application's append requests (64 KB in the paper).
   uint64_t write_request_bytes = 64 * kKiB;
-  /// Buffer pool fronting the data volume. Capacity 0 (the default)
-  /// disables the pool entirely — the paper's cold-cache regime.
-  sim::BufferPoolOptions cache;
   /// File store tuning.
   fs::FileStoreOptions store;
   /// When true, SafeWrite preallocates the temp file to its final size
   /// before streaming — the paper's proposed interface extension.
   bool preallocate_on_safe_write = false;
-  /// Shared-spindle binding. Non-null: the data volume is owner
-  /// `spindle_owner`'s region of this plane (the plane's region size
-  /// must equal volume_bytes) and the scheduler is ported onto it —
-  /// `disk` and `data_mode` above are then ignored for the data volume,
-  /// which shares the plane's hub disk. Null (default): dedicated
-  /// spindle, bit-identical historical behavior. Crash simulation
-  /// (Mount/recovery) is unavailable in shared mode.
-  std::shared_ptr<sim::SpindlePlane> spindle;
-  uint32_t spindle_owner = 0;
 };
 
 /// Filesystem-backed ObjectRepository.
-class FsRepository : public ObjectRepository {
+class FsRepository : public VolumeRepository {
  public:
   explicit FsRepository(FsRepositoryConfig config = {});
 
@@ -104,25 +83,9 @@ class FsRepository : public ObjectRepository {
   const FragmentationTracker* fragmentation_tracker() const override;
   uint64_t object_count() const override;
   uint64_t live_bytes() const override;
-  uint64_t volume_bytes() const override;
   uint64_t free_bytes() const override;
-  double now() const override;
-  sim::IoStats device_stats() const override;
-  sim::BufferPoolStats cache_stats() const override {
-    return pool_->stats();
-  }
-  Status FlushCache() override;
   Status CheckConsistency() const override;
   std::string name() const override { return "filesystem"; }
-
-  /// Journal recovery against the attached sim::FaultInjector's
-  /// durability verdicts (fs::FileStore::Recover). When the injector
-  /// tripped, the scheduler's dead queue is abandoned and the head
-  /// position invalidated first, so calling Mount right after
-  /// MaterializeCrash is the whole restart sequence. Recovery I/O is
-  /// charged synchronously; recovery_seconds is the simulated elapsed
-  /// time.
-  Result<MountReport> Mount() override;
 
   /// Adds to the base verifier: payload FNV-1a checks under
   /// DataMode::kRetain (kTornPayload / kLostObject), typed allocator
@@ -131,30 +94,19 @@ class FsRepository : public ObjectRepository {
   /// window is armed (rollback holds look like leaks).
   Result<FsckReport> Fsck() override;
 
-  /// Background scrubber pass with repair: walks files from the
-  /// persistent cursor re-reading payloads with charged I/O. A read
-  /// that only succeeded through media retries marks the file's
-  /// clusters pending-bad and relocates it onto fresh ones (the old
-  /// clusters divert to the quarantine list); reads that stay broken
-  /// after retry count as unrecoverable (a client rewrite heals them).
-  Result<ScrubReport> Scrub(const ScrubOptions& options = {}) override;
-
-  // Submission/completion pipeline.
-  Status SetQueueDepth(
-      uint32_t depth,
-      sim::SchedPolicy policy = sim::SchedPolicy::kSptf) override;
-  Status DrainIo() override;
-  Status SettleIo() override;
-  bool shared_spindle() const override;
-  const sim::LatencyRecorder* latency_recorder() const override {
-    return &latency_;
-  }
-
   fs::FileStore* store() { return store_.get(); }
-  sim::BlockDevice* device() { return device_.get(); }
-  sim::IoScheduler* io_scheduler() { return scheduler_.get(); }
-  sim::BufferPool* buffer_pool() { return pool_.get(); }
   const FsRepositoryConfig& config() const { return config_; }
+
+ protected:
+  /// Journal recovery (fs::FileStore::Recover) with the orphan-temp
+  /// sweep.
+  Result<MountReport> RecoverStore(bool power_cycled) override;
+
+  /// Marks the file's clusters pending-bad and relocates it onto fresh
+  /// ones; the old clusters divert to the quarantine list.
+  void RepairRetriedRead(const std::string& key,
+                         std::span<const uint8_t> payload,
+                         ScrubReport* report) override;
 
  private:
   /// The safe-write cycle against an already-opened target handle:
@@ -179,15 +131,7 @@ class FsRepository : public ObjectRepository {
       Result<alloc::ExtentList> extents) const;
 
   FsRepositoryConfig config_;
-  std::unique_ptr<sim::BlockDevice> device_;
-  /// Cache tier fronting device_; attached before the store is built so
-  /// every store path sees it. Always constructed (possibly disabled).
-  std::unique_ptr<sim::BufferPool> pool_;
   std::unique_ptr<fs::FileStore> store_;
-  sim::LatencyRecorder latency_;
-  /// Owns the data volume's submission queue; attached to device_ for
-  /// the repository's whole lifetime (disengaged = synchronous).
-  std::unique_ptr<sim::IoScheduler> scheduler_;
   uint64_t temp_counter_ = 0;
 };
 

@@ -41,20 +41,6 @@ ObjectHandle ObjectRepository::MakeHandle(const std::string& key,
   return handle;
 }
 
-Status ObjectRepository::SetQueueDepth(uint32_t depth,
-                                       sim::SchedPolicy /*policy*/) {
-  if (depth == 0) {
-    return Status::InvalidArgument("queue depth must be at least 1");
-  }
-  if (depth == 1) return Status::OK();  // Synchronous: every back end.
-  return Status::NotSupported(name() +
-                              " does not support queued submission");
-}
-
-Status ObjectRepository::DrainIo() { return Status::OK(); }
-
-Result<MountReport> ObjectRepository::Mount() { return MountReport{}; }
-
 Result<FsckReport> ObjectRepository::Fsck() {
   FsckReport report;
   // Extent cross-check: no byte may belong to two objects. Works purely
@@ -101,11 +87,6 @@ Result<FsckReport> ObjectRepository::Fsck() {
 }
 
 Result<ScrubReport> ObjectRepository::Scrub(const ScrubOptions& options) {
-  // Name-routed default: detect-only. Walks the sorted key space from
-  // the persistent cursor, re-reading each payload through the public
-  // Get surface (charged like any client read, typed errors included).
-  // Wrapper repositories therefore scrub whatever they wrap; repair
-  // needs back-end layout access and lives in the overrides.
   ScrubReport report;
   std::vector<std::string> keys = ListKeys();
   std::sort(keys.begin(), keys.end());
@@ -126,10 +107,14 @@ Result<ScrubReport> ObjectRepository::Scrub(const ScrubOptions& options) {
   for (uint64_t i = 0; i < budget && i < keys.size(); ++i) {
     const std::string& key = keys[(start + i) % keys.size()];
     scrub_cursor_ = key;
+    const uint64_t errors_before = media_read_errors();
     const Status read = Get(key, &payload);
     ++report.objects_scanned;
     if (read.ok()) {
       report.bytes_scanned += payload.size();
+      if (media_read_errors() > errors_before) {
+        RepairRetriedRead(key, payload, &report);
+      }
     } else if (read.IsNotFound()) {
       continue;  // Deleted since ListKeys: not a media problem.
     } else if (read.IsCorruption()) {
@@ -140,9 +125,6 @@ Result<ScrubReport> ObjectRepository::Scrub(const ScrubOptions& options) {
       ++report.unrecoverable;
     } else {
       return read;  // The scrubber itself failed; surface it.
-    }
-    if (options.max_bytes != 0 && report.bytes_scanned >= options.max_bytes) {
-      break;
     }
   }
   return report;

@@ -87,21 +87,13 @@ struct FsckReport {
   bool clean() const { return issues.empty(); }
 };
 
-/// Rate limits and repair policy for one scrubber pass (see
-/// ObjectRepository::Scrub).
+/// Rate limit for one scrubber pass (see ObjectRepository::Scrub).
 struct ScrubOptions {
   /// Objects to examine this pass (0 = every live object). The cursor
   /// persists across passes, so bounded passes resume where the last
   /// one stopped and wrap at the end — a background scrubber trickling
   /// through the volume.
   uint64_t max_objects = 0;
-  /// Stop after charging this many payload bytes of scrub reads
-  /// (0 = unlimited); checked after each object.
-  uint64_t max_bytes = 0;
-  /// Repair what can be repaired: rewrite objects whose media errors
-  /// recovered (quarantining the suspect units), leave typed reports
-  /// for what cannot. False = detect and report only.
-  bool repair = true;
 };
 
 /// What one scrubber pass saw and did.
@@ -238,15 +230,14 @@ class ObjectRepository {
   /// every historical figure is reproduced exactly. Depth > 1 engages
   /// the back end's IoScheduler: device requests queue per operation
   /// and service in `policy` order (NCQ-style SPTF by default), so
-  /// completion latency includes queueing delay. Back ends without a
-  /// scheduler accept only depth 1. Pending work is drained before the
-  /// depth changes; may not be called mid-operation.
-  virtual Status SetQueueDepth(uint32_t depth,
-                               sim::SchedPolicy policy = sim::SchedPolicy::kSptf);
+  /// completion latency includes queueing delay. Pending work is
+  /// drained before the depth changes; may not be called mid-operation.
+  virtual Status SetQueueDepth(
+      uint32_t depth, sim::SchedPolicy policy = sim::SchedPolicy::kSptf) = 0;
 
   /// Services everything queued and advances the clock to the
   /// completion horizon. A no-op at depth 1.
-  virtual Status DrainIo();
+  virtual Status DrainIo() = 0;
 
   /// Phase-boundary settle for shared-spindle back ends: drains this
   /// repository's outstanding submissions and parks its spindle owner
@@ -280,10 +271,8 @@ class ObjectRepository {
   /// Mount-time recovery: replays the back end's journal/log against
   /// the post-crash volume state, rolling back whatever did not commit,
   /// and charges realistic recovery I/O so the report's
-  /// recovery_seconds is a simulated metric. The default (wrapper back
-  /// ends, stores without a crash model) recovers nothing and returns
-  /// an empty report.
-  virtual Result<MountReport> Mount();
+  /// recovery_seconds is a simulated metric.
+  virtual Result<MountReport> Mount() = 0;
 
   /// Full-volume verifier: cross-checks every object's payload hash,
   /// extent layout vs. allocator state, and the FragmentationTracker
@@ -295,14 +284,13 @@ class ObjectRepository {
   /// wrappers keep working.
   virtual Result<FsckReport> Fsck();
 
-  /// One background-scrubber pass: walks live objects from the
-  /// persistent scrub cursor, re-reads payloads with charged I/O,
-  /// verifies end-to-end checksums, and (when options.repair) rewrites
-  /// recovered objects off suspect media, quarantining the old units.
-  /// Detected-but-unrepairable objects stay typed-error, never silently
-  /// wrong. The default implementation is name-routed (ListKeys + Get),
-  /// so wrapper repositories scrub what they wrap — it detects typed
-  /// errors and corruption but repairs nothing.
+  /// One background-scrubber pass: walks the sorted key space from the
+  /// persistent scrub cursor, re-reads payloads through the virtual
+  /// Get (charged like any client read), counts typed errors and
+  /// checksum failures, and hands objects that read OK only after
+  /// media retries to RepairRetriedRead. Detected-but-unrepairable
+  /// objects stay typed-error, never silently wrong. Wrapper
+  /// repositories scrub what they wrap, detect-only.
   virtual Result<ScrubReport> Scrub(const ScrubOptions& options = {});
 
   /// Structural invariants (no shared clusters/extents, accounting).
@@ -322,9 +310,21 @@ class ObjectRepository {
   ObjectHandle MakeHandle(const std::string& key, bool writable,
                           uint64_t slot = 0, uint64_t gen = 0) const;
 
+  /// Cumulative media read errors (retried or not) on the data volume;
+  /// Scrub compares it across a read to spot retried reads. Zero when
+  /// no media model is attached.
+  virtual uint64_t media_read_errors() const { return 0; }
+
+  /// Scrub repair hook for an object whose read succeeded only after
+  /// media retries: move `payload` off the suspect units and count what
+  /// was repaired and quarantined. The default is detect-only.
+  virtual void RepairRetriedRead(const std::string& /*key*/,
+                                 std::span<const uint8_t> /*payload*/,
+                                 ScrubReport* /*report*/) {}
+
+ private:
   /// Background-scrubber resume point: the last key the previous Scrub
-  /// pass examined (empty = start of the key space). Shared by the
-  /// default implementation and the back-end overrides.
+  /// pass examined (empty = start of the key space).
   std::string scrub_cursor_;
 };
 

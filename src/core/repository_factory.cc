@@ -38,23 +38,25 @@ std::shared_ptr<sim::SpindlePlane> RepositoryFactory::PlaneForShard(
   return planes_[shard / k];
 }
 
+void RepositoryFactory::SliceForShard(uint32_t shard, uint32_t shard_count,
+                                      VolumeConfig* config) const {
+  assert(shard < shard_count);
+  config->volume_bytes = SplitVolume(config->volume_bytes, shard_count);
+  config->cache.capacity_bytes =
+      SplitVolume(config->cache.capacity_bytes, shard_count);
+  config->spindle = PlaneForShard(shard, shard_count, config->volume_bytes,
+                                  config->disk, config->data_mode);
+  config->spindle_owner =
+      config->spindle != nullptr ? shard % topology_.owners_per_spindle : 0;
+}
+
 FsRepositoryFactory::FsRepositoryFactory(FsRepositoryConfig base)
     : base_(std::move(base)) {}
 
 std::unique_ptr<ObjectRepository> FsRepositoryFactory::Create(
     uint32_t shard, uint32_t shard_count) const {
-  assert(shard < shard_count);
-  (void)shard;
   FsRepositoryConfig config = base_;
-  config.volume_bytes = SplitVolume(base_.volume_bytes, shard_count);
-  // Each shard's pool gets its slice of the configured cache, like the
-  // volume: total DRAM is a host-level budget.
-  config.cache.capacity_bytes =
-      SplitVolume(base_.cache.capacity_bytes, shard_count);
-  config.spindle = PlaneForShard(shard, shard_count, config.volume_bytes,
-                                 config.disk, config.data_mode);
-  config.spindle_owner =
-      config.spindle != nullptr ? shard % topology_.owners_per_spindle : 0;
+  SliceForShard(shard, shard_count, &config);
   return std::make_unique<FsRepository>(std::move(config));
 }
 
@@ -63,19 +65,11 @@ DbRepositoryFactory::DbRepositoryFactory(DbRepositoryConfig base)
 
 std::unique_ptr<ObjectRepository> DbRepositoryFactory::Create(
     uint32_t shard, uint32_t shard_count) const {
-  assert(shard < shard_count);
-  (void)shard;
   DbRepositoryConfig config = base_;
-  config.volume_bytes = SplitVolume(base_.volume_bytes, shard_count);
-  config.log_volume_bytes = SplitVolume(base_.log_volume_bytes, shard_count);
-  config.cache.capacity_bytes =
-      SplitVolume(base_.cache.capacity_bytes, shard_count);
+  SliceForShard(shard, shard_count, &config);
   // Only the data volumes share spindles; each shard's log device stays
-  // dedicated (see DbRepositoryConfig::spindle).
-  config.spindle = PlaneForShard(shard, shard_count, config.volume_bytes,
-                                 config.disk, config.data_mode);
-  config.spindle_owner =
-      config.spindle != nullptr ? shard % topology_.owners_per_spindle : 0;
+  // dedicated (see DbRepositoryConfig).
+  config.log_volume_bytes = SplitVolume(base_.log_volume_bytes, shard_count);
   return std::make_unique<DbRepository>(std::move(config));
 }
 

@@ -79,6 +79,12 @@ class RepositoryFactory {
       uint32_t shard, uint32_t shard_count, uint64_t region_bytes,
       const sim::DiskParams& disk, sim::DataMode data_mode) const;
 
+  /// Turns `config` (a copy of the deployment's base) into shard
+  /// `shard`'s slice: volume and cache split evenly — total DRAM is a
+  /// host-level budget — and the data volume bound to its spindle.
+  void SliceForShard(uint32_t shard, uint32_t shard_count,
+                     VolumeConfig* config) const;
+
   SpindleTopology topology_;
 
  private:

@@ -64,7 +64,7 @@ Status CrashTortureRunner::Setup() {
     db_ = std::make_unique<core::DbRepository>(cfg);
     // Data and log volumes share one power supply: one injector, one
     // global sequence, one cut.
-    db_->data_device()->AttachFaultInjector(&injector_);
+    db_->device()->AttachFaultInjector(&injector_);
     if (db_->log_device() != nullptr) {
       db_->log_device()->AttachFaultInjector(&injector_);
     }
@@ -412,7 +412,7 @@ Result<MediaTortureSummary> CrashTortureRunner::RunMedia() {
   }
   LOR_RETURN_IF_ERROR(Setup());
   if (fs_ != nullptr) fs_->device()->AttachMediaFaults(&media_model_);
-  if (db_ != nullptr) db_->data_device()->AttachMediaFaults(&media_model_);
+  if (db_ != nullptr) db_->device()->AttachMediaFaults(&media_model_);
   MediaTortureSummary sum;
   for (uint64_t c = 0; c < options_.media_cycles; ++c) {
     LOR_ASSIGN_OR_RETURN(const MediaCycleResult cycle, RunMediaCycle());

@@ -217,36 +217,23 @@ Result<ThroughputSample> ShardEngine::MeasureReadThroughput() {
   // at all) — never a per-operation allocation.
   std::vector<uint8_t>* out =
       config_.materialize_reads ? &read_scratch_ : nullptr;
-  // Victims are drawn up front — same stream, same order as the
-  // historical draw-inside-the-loop — so a warm pass touches exactly
-  // the objects the timed pass will read.
+  // Victims are drawn up front, before the queue window opens — same
+  // stream, same order as the historical draw-inside-the-loop.
   probe_victims_.clear();
   probe_victims_.reserve(probes);
   for (uint64_t i = 0; i < probes; ++i) {
     probe_victims_.push_back(rng_.Uniform(keys_.size()));
   }
-  auto read_victims = [&]() -> Status {
-    for (const uint64_t victim : probe_victims_) {
-      if (config_.use_handles) {
-        LOR_RETURN_IF_ERROR(repo_->Get(handles_[victim], out));
-      } else {
-        LOR_RETURN_IF_ERROR(repo_->Get(keys_[victim], out));
-      }
-      if (lockstep) LOR_RETURN_IF_ERROR(repo_->DrainIo());
-    }
-    return Status::OK();
-  };
-  if (config_.warm_reads) {
-    // Untimed warm pass, then a flush+drain so the timed pass starts
-    // against a quiet device with clean frames.
-    LOR_RETURN_IF_ERROR(read_victims());
-    LOR_RETURN_IF_ERROR(repo_->DrainIo());
-  }
   const double t0 = repo_->now();
   QueueDepthWindow window(repo_);
   LOR_RETURN_IF_ERROR(window.Enter(config_.queue_depth, config_.queue_policy));
-  LOR_RETURN_IF_ERROR(read_victims());
   for (const uint64_t victim : probe_victims_) {
+    if (config_.use_handles) {
+      LOR_RETURN_IF_ERROR(repo_->Get(handles_[victim], out));
+    } else {
+      LOR_RETURN_IF_ERROR(repo_->Get(keys_[victim], out));
+    }
+    if (lockstep) LOR_RETURN_IF_ERROR(repo_->DrainIo());
     sample.bytes += sizes_[victim];
     ++sample.operations;
   }

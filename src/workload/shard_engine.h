@@ -58,12 +58,6 @@ struct WorkloadConfig {
   uint32_t queue_depth = 1;
   /// Service order when queue_depth > 1.
   sim::SchedPolicy queue_policy = sim::SchedPolicy::kSptf;
-  /// Run one untimed pass over the read-probe set (then drain) before
-  /// the timed pass, so a sized buffer pool serves the measurement from
-  /// cache — the warm-cache regime of the cache ablation. Off (the
-  /// default) keeps the paper's cold-probe regime, operation-for-
-  /// operation identical to the historical path.
-  bool warm_reads = false;
   /// Shared-spindle submission style. On (the default) the engine
   /// leaves submitted operations outstanding on the plane, so this
   /// shard's host-side work (key selection, payload staging) overlaps
@@ -181,8 +175,8 @@ class ShardEngine {
   /// Read-probe payload scratch, reused across every Get of a measure
   /// phase (materialize_reads) instead of a per-op allocation.
   std::vector<uint8_t> read_scratch_;
-  /// Victim indices of the current probe phase (drawn up front so a
-  /// warm pass touches exactly the objects the timed pass reads).
+  /// Victim indices of the current probe phase (drawn up front, which
+  /// fixes the RNG order).
   std::vector<uint64_t> probe_victims_;
   /// Next unconsidered index in the global key namespace.
   uint64_t next_index_ = 0;

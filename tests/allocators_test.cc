@@ -480,6 +480,12 @@ struct AllocatorFactory {
   std::function<std::unique_ptr<ExtentAllocator>(uint64_t)> make;
 };
 
+// Names the parameter in test listings; without it gtest prints the
+// struct's raw bytes, heap addresses included.
+void PrintTo(const AllocatorFactory& factory, std::ostream* os) {
+  *os << factory.label;
+}
+
 class AllocatorPropertyTest
     : public ::testing::TestWithParam<AllocatorFactory> {};
 

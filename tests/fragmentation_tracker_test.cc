@@ -83,6 +83,12 @@ struct BackendCase {
   RepoFactory make;
 };
 
+// Names the parameter in test listings; without it gtest prints the
+// struct's raw bytes, heap addresses included.
+void PrintTo(const BackendCase& backend, std::ostream* os) {
+  *os << backend.label;
+}
+
 void ExpectReportsEqual(const FragmentationReport& tracked,
                         const FragmentationReport& scanned) {
   EXPECT_EQ(tracked.objects, scanned.objects);

@@ -9,6 +9,14 @@
 
 namespace lor {
 namespace alloc {
+
+// Names FreeSpaceMapPropertyTest's parameter in test listings; without
+// it gtest prints the enum's raw bytes. It lives in FitPolicy's own
+// namespace because argument-dependent lookup skips unnamed ones.
+static void PrintTo(FitPolicy policy, std::ostream* os) {
+  *os << FitPolicyName(policy);
+}
+
 namespace {
 
 TEST(ExtentTest, Basics) {

@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -303,7 +305,7 @@ TEST(ChecksumFsTest, AtRestRotIsDetectedNeverSilent) {
 TEST(ChecksumDbTest, AtRestRotIsDetectedNeverSilent) {
   core::DbRepository repo(DbConfig(64 * kMiB));
   MediaFaultModel media;
-  repo.data_device()->AttachMediaFaults(&media);
+  repo.device()->AttachMediaFaults(&media);
   const auto payloads = Load(&repo, 8, 256 * kKiB);
 
   media.Arm(MediaFaultSpec{});
@@ -352,7 +354,7 @@ TEST(ChecksumFsTest, PersistentLseSurfacesTypedIoError) {
 TEST(ChecksumDbTest, PersistentLseSurfacesTypedIoError) {
   core::DbRepository repo(DbConfig(64 * kMiB));
   MediaFaultModel media;
-  repo.data_device()->AttachMediaFaults(&media);
+  repo.device()->AttachMediaFaults(&media);
   const auto payloads = Load(&repo, 6, 128 * kKiB);
 
   MediaFaultSpec spec;
@@ -411,7 +413,7 @@ TEST(ScrubFsTest, TransientLseRepairRelocatesAndQuarantines) {
 TEST(ScrubDbTest, TransientLseRepairSupersedesAndQuarantines) {
   core::DbRepository repo(DbConfig(64 * kMiB));
   MediaFaultModel media;
-  repo.data_device()->AttachMediaFaults(&media);
+  repo.device()->AttachMediaFaults(&media);
   const auto payloads = Load(&repo, 12, 64 * kKiB);
 
   MediaFaultSpec spec;
@@ -469,27 +471,82 @@ TEST(ScrubFsTest, RotIsDetectedButUnrecoverableUntilClientRewrite) {
   EXPECT_EQ(healed.ok, payloads.size());
 }
 
-TEST(ScrubFsTest, BoundedPassesResumeFromPersistentCursor) {
-  core::FsRepository repo(FsConfig(64 * kMiB));
+// The scrub contract every repository shares (one loop serves them
+// all): bounded passes resume strictly after the persistent cursor, in
+// sorted key order, and wrap at the end of the key space.
+enum class ScrubTarget { kFilesystem, kDatabase, kRecordingFilesystem };
+
+void PrintTo(ScrubTarget target, std::ostream* os) {
+  switch (target) {
+    case ScrubTarget::kFilesystem:
+      *os << "filesystem";
+      break;
+    case ScrubTarget::kDatabase:
+      *os << "database";
+      break;
+    case ScrubTarget::kRecordingFilesystem:
+      *os << "recording_filesystem";
+      break;
+  }
+}
+
+class ScrubContractTest : public ::testing::TestWithParam<ScrubTarget> {};
+
+TEST_P(ScrubContractTest, BoundedPassesResumeFromPersistentCursor) {
+  std::unique_ptr<core::VolumeRepository> volume;
+  if (GetParam() == ScrubTarget::kDatabase) {
+    volume = std::make_unique<core::DbRepository>(DbConfig(64 * kMiB));
+  } else {
+    volume = std::make_unique<core::FsRepository>(FsConfig(64 * kMiB));
+  }
   MediaFaultModel media;
-  repo.device()->AttachMediaFaults(&media);
-  Load(&repo, 12, 64 * kKiB);
+  volume->device()->AttachMediaFaults(&media);
+  workload::Trace trace;
+  workload::RecordingRepository recorder(volume.get(), &trace);
+  core::ObjectRepository* repo = volume.get();
+  if (GetParam() == ScrubTarget::kRecordingFilesystem) repo = &recorder;
+
+  // Distinct sizes make each pass's bytes_scanned name the objects it
+  // visited.
+  constexpr uint64_t kObjects = 12;
+  std::map<std::string, uint64_t> sizes;  // Sorted: the scrub order.
+  for (uint64_t i = 0; i < kObjects; ++i) {
+    const std::string key = "obj" + std::to_string(i);
+    sizes[key] = (i + 1) * 16 * kKiB;
+    ASSERT_TRUE(repo->Put(key, sizes[key],
+                          Pattern(sizes[key], static_cast<uint8_t>(i)))
+                    .ok());
+  }
+  std::vector<uint64_t> sorted_sizes;
+  for (const auto& [key, size] : sizes) sorted_sizes.push_back(size);
   media.Arm(MediaFaultSpec{});  // armed, zero rates: pure trickle scan
 
   core::ScrubOptions options;
   options.max_objects = 5;
-  uint64_t scanned = 0;
-  for (int pass = 0; pass < 3; ++pass) {
-    auto report = repo.Scrub(options);
-    ASSERT_TRUE(report.ok());
+  for (uint64_t pass = 0; pass < 3; ++pass) {
+    auto report = repo->Scrub(options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->objects_scanned, 5u);
-    EXPECT_GT(report->bytes_scanned, 0u);
-    scanned += report->objects_scanned;
+    // Pass p covers sorted positions 5p .. 5p+4, wrapping past the
+    // twelfth object back to the first.
+    uint64_t expected_bytes = 0;
+    for (uint64_t i = 0; i < 5; ++i) {
+      expected_bytes += sorted_sizes[(pass * 5 + i) % kObjects];
+    }
+    EXPECT_EQ(report->bytes_scanned, expected_bytes) << "pass " << pass;
+    EXPECT_EQ(report->read_errors + report->corruptions_detected, 0u);
   }
-  // Three bounded passes lapped the 12-object volume: the cursor wraps
-  // instead of pinning the scrubber to the tail.
-  EXPECT_EQ(scanned, 15u);
+  // A pass without a bound covers the whole volume once.
+  auto full = repo->Scrub();
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->objects_scanned, kObjects);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ScrubContractTest,
+    ::testing::Values(ScrubTarget::kFilesystem, ScrubTarget::kDatabase,
+                      ScrubTarget::kRecordingFilesystem),
+    [](const auto& info) { return ::testing::PrintToString(info.param); });
 
 // Satellite: typed statuses must survive the decorator stack. The
 // RecordingRepository forwards Get/Put/... but inherits the base

@@ -59,6 +59,12 @@ struct BackendCase {
   RepoFactory make;
 };
 
+// Names the parameter in test listings; without it gtest prints the
+// struct's raw bytes, heap addresses included.
+void PrintTo(const BackendCase& backend, std::ostream* os) {
+  *os << backend.label;
+}
+
 /// Full observable state of a repository, keyed by object.
 std::map<std::string, std::pair<alloc::ExtentList, uint64_t>> Snapshot(
     const ObjectRepository& repo) {
@@ -212,10 +218,7 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param.label;
     });
 
-// Handle lifetime misuse. Parameterized by the back-end label alone so
-// the registered test names are reproducible: gtest prints a BackendCase
-// (it holds a std::function) as raw object bytes, heap addresses
-// included, and ctest names embed that text.
+// Handle lifetime misuse, parameterized by the back-end label.
 class ObjectHandleLifetimeTest : public ::testing::TestWithParam<std::string> {
  protected:
   std::unique_ptr<ObjectRepository> Make() {

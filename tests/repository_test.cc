@@ -47,10 +47,13 @@ struct BackendCase {
   RepoFactory make;
 };
 
-// The basic object lifecycle. Parameterized by the back-end label alone
-// so the registered test names are reproducible: gtest prints a
-// BackendCase (it holds a std::function) as raw object bytes, heap
-// addresses included, and ctest names embed that text.
+// Names the parameter in test listings; without it gtest prints the
+// struct's raw bytes, heap addresses included.
+void PrintTo(const BackendCase& backend, std::ostream* os) {
+  *os << backend.label;
+}
+
+// The basic object lifecycle, parameterized by the back-end label.
 class RepositoryLifecycleTest : public ::testing::TestWithParam<std::string> {
  protected:
   std::unique_ptr<ObjectRepository> Make() {

@@ -385,8 +385,15 @@ void ExpectSameOutcome(const Outcome& run, const Outcome& per_request) {
   EXPECT_EQ(run.mount.recovery_seconds, per_request.mount.recovery_seconds);
 }
 
-class RunLengthAppendTest
-    : public ::testing::TestWithParam<std::pair<const char*, Scenario>> {};
+using NamedScenario = std::pair<const char*, Scenario>;
+
+// Names the parameter in test listings; without it gtest prints the
+// label's address and the scenario's raw bytes.
+void PrintTo(const NamedScenario& scenario, std::ostream* os) {
+  *os << scenario.first;
+}
+
+class RunLengthAppendTest : public ::testing::TestWithParam<NamedScenario> {};
 
 TEST_P(RunLengthAppendTest, RunPathMatchesPerRequestPathBitForBit) {
   const Scenario& s = GetParam().second;
