@@ -176,7 +176,8 @@ uint64_t DbRepository::free_bytes() const {
 }
 
 Status DbRepository::CheckConsistency() const {
-  return store_->CheckConsistency();
+  LOR_RETURN_IF_ERROR(store_->CheckConsistency());
+  return pool_->CheckConsistency();
 }
 
 // -- Crash recovery & verification -------------------------------------

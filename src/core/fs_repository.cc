@@ -221,7 +221,8 @@ uint64_t FsRepository::live_bytes() const {
 uint64_t FsRepository::free_bytes() const { return store_->FreeBytes(); }
 
 Status FsRepository::CheckConsistency() const {
-  return store_->CheckConsistency();
+  LOR_RETURN_IF_ERROR(store_->CheckConsistency());
+  return pool_->CheckConsistency();
 }
 
 Result<MountReport> FsRepository::RecoverStore(bool /*power_cycled*/) {

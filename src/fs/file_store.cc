@@ -586,14 +586,13 @@ Status FileStore::AppendStreamResolved(FileInfo* file, uint64_t length,
   // Per-request tracker syncs would re-count the whole extent list per
   // chunk (quadratic in extents for a fragmented stream); sync once at
   // the end instead — nothing reads the tracker mid-stream.
-  const bool direct = ActivePool() == nullptr;
   Status status = Status::OK();
   uint64_t written = 0;
   while (written < length) {
     const uint64_t chunk = std::min(request_bytes, length - written);
     std::span<const uint8_t> rest =
         data.empty() ? std::span<const uint8_t>() : data.subspan(written);
-    if (direct && chunk == request_bytes) {
+    if (chunk == request_bytes) {
       uint64_t appended = 0;
       status = AppendRun(file, request_bytes,
                          (length - written) / request_bytes, rest, &appended);
@@ -633,9 +632,14 @@ Status FileStore::AppendRun(FileInfo* file, uint64_t request_bytes,
   file->allocated_clusters += bytes / cluster;
   std::span<const uint8_t> run_data =
       data.empty() ? data : data.first(bytes);
-  LOR_RETURN_IF_ERROR(device_->WriteStreamRun(
-      tail_end * cluster, request_bytes, requests, run_data,
-      options_.costs.fs_stream_bandwidth));
+  sim::BufferPool* pool = ActivePool();
+  LOR_RETURN_IF_ERROR(
+      pool != nullptr
+          ? pool->WriteStreamRun(tail_end * cluster, request_bytes, requests,
+                                 run_data, options_.costs.fs_stream_bandwidth)
+          : device_->WriteStreamRun(tail_end * cluster, request_bytes,
+                                    requests, run_data,
+                                    options_.costs.fs_stream_bandwidth));
   NoteAppended(file, bytes, requests, run_data);
   *appended = bytes;
   return Status::OK();

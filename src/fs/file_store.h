@@ -473,8 +473,9 @@ class FileStore {
   /// Run-length form of the AppendStream loop: when the next requests
   /// of `request_bytes` each extend the tail extent in place, claims up
   /// to `max_requests` of them with one allocator call and charges them
-  /// with one device call — the same layout, clock and stats as that
-  /// many AppendToFile calls. Sets `appended` to the bytes appended; 0
+  /// with one device call (BufferPool::WriteStreamRun when a pool
+  /// fronts the device, else BlockDevice::WriteStreamRun) — the same
+  /// layout, clock and stats as that many AppendToFile calls. Sets `appended` to the bytes appended; 0
   /// when the next request must take the per-request path (no run at
   /// the tail, slack or preallocated clusters, or an allocator without
   /// the run hook).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <utility>
 
 #include "sim/fault_injector.h"
 
@@ -35,83 +36,65 @@ bool BufferPool::WriteBackActive() const {
   return injector == nullptr || !injector->armed();
 }
 
-std::map<uint64_t, BufferPool::Frame>::iterator BufferPool::FirstOverlap(
-    uint64_t offset, uint64_t len) {
-  auto it = frames_.lower_bound(offset);
-  if (it != frames_.begin()) {
+BufferPool::Index::const_iterator BufferPool::Seek(uint64_t offset) const {
+  auto it = index_.upper_bound(offset);
+  if (it != index_.begin()) {
     auto prev = std::prev(it);
-    if (prev->second.end() > offset) it = prev;
+    if (FrameOf(prev).end() > offset) return prev;
   }
-  if (it == frames_.end() || it->first >= offset + len) return frames_.end();
   return it;
 }
 
-BufferPool::Frame* BufferPool::FrameAt(uint64_t offset) {
-  return const_cast<Frame*>(
-      static_cast<const BufferPool*>(this)->FrameAt(offset));
+BufferPool::Index::iterator BufferPool::Seek(uint64_t offset) {
+  ++stats_.index_searches;
+  const Index::const_iterator it = std::as_const(*this).Seek(offset);
+  return index_.erase(it, it);  // Erases nothing: const -> mutable, O(1).
 }
 
-const BufferPool::Frame* BufferPool::FrameAt(uint64_t offset) const {
-  auto it = frames_.upper_bound(offset);
-  if (it == frames_.begin()) return nullptr;
-  const Frame& f = std::prev(it)->second;
-  return f.end() > offset ? &f : nullptr;
-}
-
-bool BufferPool::Covered(uint64_t offset, uint64_t len) const {
-  uint64_t pos = offset;
+Status BufferPool::InstallFrame(Index::iterator it, uint64_t offset,
+                                uint64_t len, uint32_t* slot) {
   const uint64_t end = offset + len;
-  while (pos < end) {
-    const Frame* f = FrameAt(pos);
-    if (f == nullptr) return false;
-    pos = f->end();
-  }
-  return true;
-}
-
-void BufferPool::Touch(Frame* frame) {
-  frame->referenced = true;
-  if (!options_.strict_lru) return;
-  Shard& sh = shards_[frame->shard];
-  sh.lru_index.erase(frame->lru_seq);
-  frame->lru_seq = ++lru_clock_;
-  sh.lru_index.emplace(frame->lru_seq, frame->offset);
-}
-
-Status BufferPool::InstallFrame(uint64_t offset, uint64_t len, Frame** out) {
-  // Dirty overlaps hold bytes newer than the device: write them back
-  // before they are dropped (a read fill would otherwise resurrect
-  // stale device content; a partially-overlapping write would lose the
-  // non-overlapped dirty bytes).
-  LOR_RETURN_IF_ERROR(FlushOverlapping(offset, len));
   uint32_t inherited_pin = 0;
-  for (auto it = FirstOverlap(offset, len);
-       it != frames_.end() && it->first < offset + len;) {
-    inherited_pin = std::max(inherited_pin, it->second.pin);
-    it = DropFrame(it);
+  if (Overlaps(it, end)) {
+    // Dirty overlaps hold bytes newer than the device: write them back
+    // before they are dropped (a read fill would otherwise resurrect
+    // stale device content; a partially-overlapping write would lose
+    // the non-overlapped dirty bytes).
+    LOR_RETURN_IF_ERROR(FlushOverlapping(it, end));
+    while (Overlaps(it, end)) {
+      inherited_pin = std::max(inherited_pin, FrameOf(it).pin);
+      it = DropFrame(it->second);
+    }
   }
+  // `it` is now the insertion position. Eviction may erase its frame;
+  // only then is the position searched again.
+  const uint64_t hint_seq = it == index_.end() ? 0 : FrameOf(it).seq;
+  const uint32_t hint_slot = it == index_.end() ? 0 : it->second;
   const uint32_t shard = ShardOf(offset);
   LOR_RETURN_IF_ERROR(EvictFor(shard, len));
-  Frame frame;
+  if (hint_seq != 0 && slab_[hint_slot].seq != hint_seq) it = Seek(offset);
+  if (free_slots_.empty()) {
+    *slot = static_cast<uint32_t>(slab_.size());
+    slab_.emplace_back();
+  } else {
+    *slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Frame& frame = slab_[*slot];
   frame.offset = offset;
   frame.length = len;
   // Replacing a pinned frame keeps its pin (the granularity changed,
   // the protection window did not); UnpinRange guards at zero.
   frame.pin = inherited_pin;
   frame.shard = shard;
-  frame.lru_seq = ++lru_clock_;
+  frame.seq = ++install_seq_;
   frame.referenced = true;
   if (RetainData()) frame.data = TakeBuffer(len);
-  auto [it, inserted] = frames_.emplace(offset, std::move(frame));
+  frame.pos = index_.emplace_hint(it, offset, *slot);
   Shard& sh = shards_[shard];
   sh.used_bytes += len;
   cached_bytes_ += len;
-  if (options_.strict_lru) {
-    sh.lru_index.emplace(it->second.lru_seq, offset);
-  } else {
-    sh.clock_ring.emplace_back(offset, it->second.lru_seq);
-  }
-  *out = &it->second;
+  sh.clock_ring.emplace_back(*slot, frame.seq);
   return Status::OK();
 }
 
@@ -134,35 +117,20 @@ Status BufferPool::EvictFor(uint32_t shard, uint64_t incoming) {
 Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
   *evicted = false;
   Shard& sh = shards_[shard];
-  if (options_.strict_lru) {
-    for (auto it = sh.lru_index.begin(); it != sh.lru_index.end(); ++it) {
-      auto fit = frames_.find(it->second);
-      if (fit == frames_.end() || fit->second.lru_seq != it->first) continue;
-      Frame& f = fit->second;
-      if (f.pin > 0) continue;
-      if (f.dirty) LOR_RETURN_IF_ERROR(WriteBackFrame(&f));
-      DropFrame(fit);
-      ++stats_.evictions;
-      *evicted = true;
-      return Status::OK();
-    }
-    return Status::OK();
-  }
   // CLOCK: sweep the ring, clearing reference bits; pinned frames are
-  // skipped, stale entries (generation mismatch) removed in passing.
-  // Two full sweeps bound the scan when every frame is referenced.
+  // skipped, stale entries (seq mismatch) removed in passing. Two full
+  // sweeps bound the scan when every frame is referenced.
   size_t scanned = 0;
   const size_t limit = sh.clock_ring.size() * 2 + 2;
   while (!sh.clock_ring.empty() && scanned < limit) {
     if (sh.hand >= sh.clock_ring.size()) sh.hand = 0;
-    const auto [off, seq] = sh.clock_ring[sh.hand];
-    auto fit = frames_.find(off);
-    if (fit == frames_.end() || fit->second.lru_seq != seq) {
+    const auto [slot, seq] = sh.clock_ring[sh.hand];
+    Frame& f = slab_[slot];
+    if (f.seq != seq) {
       sh.clock_ring[sh.hand] = sh.clock_ring.back();
       sh.clock_ring.pop_back();
       continue;
     }
-    Frame& f = fit->second;
     if (f.pin > 0) {
       ++sh.hand;
       ++scanned;
@@ -175,7 +143,7 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
       continue;
     }
     if (f.dirty) LOR_RETURN_IF_ERROR(WriteBackFrame(&f));
-    DropFrame(fit);
+    DropFrame(slot);
     sh.clock_ring[sh.hand] = sh.clock_ring.back();
     sh.clock_ring.pop_back();
     ++stats_.evictions;
@@ -185,16 +153,17 @@ Status BufferPool::EvictOne(uint32_t shard, bool* evicted) {
   return Status::OK();
 }
 
-std::map<uint64_t, BufferPool::Frame>::iterator BufferPool::DropFrame(
-    std::map<uint64_t, Frame>::iterator it) {
-  Frame& f = it->second;
+BufferPool::Index::iterator BufferPool::DropFrame(uint32_t slot) {
+  Frame& f = slab_[slot];
   Shard& sh = shards_[f.shard];
   sh.used_bytes -= f.length;
   cached_bytes_ -= f.length;
   if (f.dirty) dirty_bytes_ -= f.length;
-  if (options_.strict_lru) sh.lru_index.erase(f.lru_seq);
   if (!f.data.empty()) RecycleBuffer(std::move(f.data));
-  return frames_.erase(it);
+  auto next = index_.erase(f.pos);
+  f = Frame{};  // seq 0: free (and any unrecycled buffer released).
+  free_slots_.push_back(slot);
+  return next;
 }
 
 Status BufferPool::WriteBackFrame(Frame* frame) {
@@ -211,13 +180,12 @@ Status BufferPool::WriteBackFrame(Frame* frame) {
   return Status::OK();
 }
 
-Status BufferPool::FlushOverlapping(uint64_t offset, uint64_t len) {
+Status BufferPool::FlushOverlapping(Index::const_iterator it, uint64_t end) {
   if (dirty_bytes_ == 0) return Status::OK();
   flush_requests_.clear();
-  flush_frames_.clear();
-  for (auto it = FirstOverlap(offset, len);
-       it != frames_.end() && it->first < offset + len; ++it) {
-    Frame& f = it->second;
+  flush_slots_.clear();
+  for (; Overlaps(it, end); ++it) {
+    const Frame& f = FrameOf(it);
     if (!f.dirty) continue;
     IoRequest req;
     req.write = true;
@@ -225,31 +193,32 @@ Status BufferPool::FlushOverlapping(uint64_t offset, uint64_t len) {
     req.length = f.length;
     req.src = f.data.empty() ? nullptr : f.data.data();
     flush_requests_.push_back(req);
-    flush_frames_.push_back(&f);
+    flush_slots_.push_back(it->second);
   }
   if (flush_requests_.empty()) return Status::OK();
-  // One offset-ordered vectored submission (map order is offset order):
-  // the batch rides the IoScheduler and charges like the equivalent
-  // scalar sequence, so a big flush pays one positioning per
+  // One offset-ordered vectored submission (index order is offset
+  // order): the batch rides the IoScheduler and charges like the
+  // equivalent scalar sequence, so a big flush pays one positioning per
   // contiguous dirty range.
   LOR_RETURN_IF_ERROR(device_->SubmitV(flush_requests_));
-  for (Frame* f : flush_frames_) {
-    f->dirty = false;
-    dirty_bytes_ -= f->length;
+  for (uint32_t slot : flush_slots_) {
+    Frame& f = slab_[slot];
+    f.dirty = false;
+    dirty_bytes_ -= f.length;
     ++stats_.writebacks;
-    stats_.writeback_bytes += f->length;
+    stats_.writeback_bytes += f.length;
   }
   return Status::OK();
 }
 
 Status BufferPool::FlushRange(uint64_t offset, uint64_t len) {
-  if (!enabled() || len == 0) return Status::OK();
-  return FlushOverlapping(offset, len);
+  if (!enabled() || len == 0 || dirty_bytes_ == 0) return Status::OK();
+  return FlushOverlapping(Seek(offset), offset + len);
 }
 
 Status BufferPool::FlushAll() {
   if (!enabled() || dirty_bytes_ == 0) return Status::OK();
-  return FlushOverlapping(0, device_->capacity());
+  return FlushOverlapping(index_.begin(), device_->capacity());
 }
 
 std::vector<uint8_t> BufferPool::TakeBuffer(uint64_t len) {
@@ -297,34 +266,52 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
     if (device_bytes != nullptr) *device_bytes = total;
     return device_->ReadV(fill_slices_);
   }
-  fill_slices_.clear();
-  copy_jobs_.clear();
-  fill_offsets_.clear();
-  uint64_t filled = 0;
   for (const CacheSlice& s : slices) {
     if (s.length == 0) continue;
     if (s.offset + s.length > device_->capacity() ||
         s.offset + s.length < s.offset) {
       return Status::InvalidArgument("cache read out of range");
     }
-    if (Covered(s.offset, s.length)) {
+    if (options_.read_ahead && s.fill_length > 0 &&
+        (s.fill_offset > s.offset ||
+         s.fill_offset + s.fill_length < s.offset + s.length ||
+         s.fill_offset + s.fill_length > device_->capacity())) {
+      return Status::InvalidArgument("cache fill does not cover request");
+    }
+  }
+  uint64_t filled = 0;
+  for (const CacheSlice& s : slices) {
+    if (s.length == 0) continue;
+    const uint64_t end = s.offset + s.length;
+    // One descent, then walk: the slice is a hit when the frames from
+    // `first` on tile it without a gap.
+    const Index::iterator first = Seek(s.offset);
+    bool covered = false;
+    uint64_t pos = s.offset;
+    for (auto it = first; it != index_.end() && it->first <= pos; ++it) {
+      pos = FrameOf(it).end();
+      if (pos >= end) {
+        covered = true;
+        break;
+      }
+    }
+    if (covered) {
       ++stats_.hits;
       stats_.hit_bytes += s.length;
       bool pinned_before = false;
-      uint64_t pos = s.offset;
-      const uint64_t end = s.offset + s.length;
-      while (pos < end) {
-        Frame* f = FrameAt(pos);
-        if (f->pin > 0) pinned_before = true;
-        Touch(f);
-        const uint64_t chunk = std::min(f->end(), end) - pos;
+      pos = s.offset;
+      for (auto it = first; pos < end; ++it) {
+        Frame& f = FrameOf(it);
+        if (f.pin > 0) pinned_before = true;
+        f.referenced = true;
+        const uint64_t chunk = std::min(f.end(), end) - pos;
         CopyJob job;
-        job.frame = f;
-        job.offset_in_frame = pos - f->offset;
+        job.slot = it->second;
+        job.offset_in_frame = pos - f.offset;
         job.dst = s.dst == nullptr ? nullptr : s.dst + (pos - s.offset);
         job.length = chunk;
         copy_jobs_.push_back(job);
-        ++f->pin;  // Transient: protects the frame until the copy runs.
+        ++f.pin;  // Transient: protects the frame until the copy runs.
         pos += chunk;
       }
       if (pinned_before) ++stats_.pinned_hits;
@@ -345,56 +332,132 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
     if (options_.read_ahead && s.fill_length > 0) {
       fo = s.fill_offset;
       fl = s.fill_length;
-      if (fo > s.offset || fo + fl < s.offset + s.length ||
-          fo + fl > device_->capacity()) {
-        return Status::InvalidArgument("cache fill does not cover request");
-      }
     }
-    Frame* frame = nullptr;
-    LOR_RETURN_IF_ERROR(InstallFrame(fo, fl, &frame));
-    fill_offsets_.push_back(fo);
+    // Seek(fo) without a second descent: the frames between fo and the
+    // slice end after fo, and the install drops them anyway.
+    Index::iterator at = first;
+    while (at != index_.begin() && FrameOf(std::prev(at)).end() > fo) --at;
+    // The install drops every frame it overlaps. If an earlier slice of
+    // this call still has a copy (or fill) pending on one of them, run
+    // the pending batch first, so no job outlives its frame.
+    if (PendingOn(at, fo + fl)) {
+      LOR_RETURN_IF_ERROR(FinishReads(Status::OK()));
+    }
+    uint32_t slot = 0;
+    const Status installed = InstallFrame(at, fo, fl, &slot);
+    if (!installed.ok()) return FinishReads(installed);
+    Frame& frame = slab_[slot];
+    fill_frames_.emplace_back(slot, frame.seq);
     ++stats_.fills;
     stats_.fill_bytes += fl;
     filled += fl;
     fill_slices_.push_back(
-        {fo, fl, nullptr,
-         frame->data.empty() ? nullptr : frame->data.data()});
+        {fo, fl, nullptr, frame.data.empty() ? nullptr : frame.data.data()});
     CopyJob job;
-    job.frame = frame;
+    job.slot = slot;
     job.offset_in_frame = s.offset - fo;
     job.dst = s.dst;
     job.length = s.length;
     copy_jobs_.push_back(job);
-    ++frame->pin;
+    ++frame.pin;
   }
+  const Status status = FinishReads(Status::OK());
+  if (device_bytes != nullptr) *device_bytes = filled;
+  return status;
+}
+
+bool BufferPool::PendingOn(Index::const_iterator it, uint64_t end) const {
+  if (copy_jobs_.empty()) return false;
+  for (; Overlaps(it, end); ++it) {
+    for (const CopyJob& job : copy_jobs_) {
+      if (job.slot == it->second) return true;
+    }
+  }
+  return false;
+}
+
+Status BufferPool::FinishReads(Status status) {
   // One vectored device read fills every missed range (charged exactly
   // like the scalar sequence in this order), then the deferred copies
   // run — hit copies included, so a slice served by an earlier slice's
   // fill never reads an unfilled frame.
-  Status fill_status;
-  if (!fill_slices_.empty()) fill_status = device_->ReadV(fill_slices_);
+  if (status.ok() && !fill_slices_.empty()) {
+    status = device_->ReadV(fill_slices_);
+  }
   for (const CopyJob& job : copy_jobs_) {
-    if (fill_status.ok() && job.dst != nullptr) {
-      if (job.frame->data.empty()) {
+    Frame& f = slab_[job.slot];
+    if (status.ok() && job.dst != nullptr) {
+      if (f.data.empty()) {
         std::memset(job.dst, 0, job.length);
       } else {
-        std::memcpy(job.dst, job.frame->data.data() + job.offset_in_frame,
+        std::memcpy(job.dst, f.data.data() + job.offset_in_frame,
                     job.length);
       }
     }
-    if (job.frame->pin > 0) --job.frame->pin;
+    if (f.pin > 0) --f.pin;
   }
-  if (!fill_status.ok()) {
-    // The fill never happened: drop (do not park) every frame this call
-    // installed, or a stale-zero frame would sit in the map as a valid
-    // cache entry and serve wrong bytes to the next hit.
-    for (uint64_t fo : fill_offsets_) {
-      auto it = frames_.find(fo);
-      if (it != frames_.end()) DropFrame(it);
+  if (!status.ok()) {
+    // The fill never happened: drop (do not park) every frame this
+    // batch installed, or a stale-zero frame would sit in the index as
+    // a valid cache entry and serve wrong bytes to the next hit.
+    for (const auto& [slot, seq] : fill_frames_) {
+      if (slab_[slot].seq == seq) DropFrame(slot);
     }
   }
-  if (device_bytes != nullptr) *device_bytes = filled;
-  return fill_status;
+  fill_slices_.clear();
+  copy_jobs_.clear();
+  fill_frames_.clear();
+  return status;
+}
+
+Status BufferPool::WriteSlice(Index::iterator it, const CacheSlice& s,
+                              bool through, uint32_t* slot) {
+  if (it != index_.end() && it->first <= s.offset &&
+      FrameOf(it).end() >= s.offset + s.length) {
+    // In-place update within one resident frame.
+    Frame& f = FrameOf(it);
+    if (!f.data.empty()) {
+      uint8_t* p = f.data.data() + (s.offset - f.offset);
+      if (s.src != nullptr) {
+        std::memcpy(p, s.src, s.length);
+      } else {
+        // Timing-only writes store zeros on the device; mirror that.
+        std::memset(p, 0, s.length);
+      }
+    }
+    f.referenced = true;
+    *slot = it->second;
+  } else {
+    LOR_RETURN_IF_ERROR(InstallFrame(it, s.offset, s.length, slot));
+    Frame& f = slab_[*slot];
+    if (!f.data.empty() && s.src != nullptr) {
+      std::memcpy(f.data.data(), s.src, s.length);
+    }
+  }
+  ++stats_.write_installs;
+  if (through) {
+    // The frame's other bytes keep whatever dirtiness they had; the
+    // slice itself is now coherent with the device either way.
+    fill_slices_.push_back({s.offset, s.length, s.src, nullptr});
+    return Status::OK();
+  }
+  Frame& f = slab_[*slot];
+  if (!f.dirty) {
+    f.dirty = true;
+    dirty_bytes_ += f.length;
+  }
+  device_->ChargeCpu(options_.hit_cpu_s +
+                     static_cast<double>(s.length) / options_.copy_bandwidth);
+  return Status::OK();
+}
+
+Status BufferPool::MaybeLazyFlush() {
+  if (static_cast<double>(dirty_bytes_) >
+      options_.dirty_ratio * static_cast<double>(options_.capacity_bytes)) {
+    // Lazy-writer threshold: one batched, offset-ordered writeback.
+    return FlushAll();
+  }
+  return Status::OK();
 }
 
 Status BufferPool::WriteThrough(std::span<const CacheSlice> slices,
@@ -412,78 +475,85 @@ Status BufferPool::WriteThrough(std::span<const CacheSlice> slices,
   const bool through = !WriteBackActive();
   fill_slices_.clear();
   uint64_t through_bytes = 0;
-  uint64_t through_count = 0;
   for (const CacheSlice& s : slices) {
     if (s.length == 0) continue;
     if (s.offset + s.length > device_->capacity() ||
         s.offset + s.length < s.offset) {
       return Status::InvalidArgument("cache write out of range");
     }
-    Frame* f = FrameAt(s.offset);
-    if (f != nullptr && f->end() >= s.offset + s.length) {
-      // In-place update within one resident frame.
-      if (!f->data.empty()) {
-        uint8_t* p = f->data.data() + (s.offset - f->offset);
-        if (s.src != nullptr) {
-          std::memcpy(p, s.src, s.length);
-        } else {
-          // Timing-only writes store zeros on the device; mirror that.
-          std::memset(p, 0, s.length);
-        }
-      }
-      Touch(f);
-    } else {
-      LOR_RETURN_IF_ERROR(InstallFrame(s.offset, s.length, &f));
-      if (!f->data.empty() && s.src != nullptr) {
-        std::memcpy(f->data.data(), s.src, s.length);
-      }
-    }
-    ++stats_.write_installs;
-    if (through) {
-      fill_slices_.push_back({s.offset, s.length, s.src, nullptr});
-      through_bytes += s.length;
-      ++through_count;
-      // The frame's other bytes keep whatever dirtiness they had; the
-      // slice itself is now coherent with the device either way.
-    } else {
-      if (!f->dirty) {
-        f->dirty = true;
-        dirty_bytes_ += f->length;
-      }
-      device_->ChargeCpu(options_.hit_cpu_s +
-                         static_cast<double>(s.length) /
-                             options_.copy_bandwidth);
-    }
+    uint32_t slot = 0;
+    LOR_RETURN_IF_ERROR(WriteSlice(Seek(s.offset), s, through, &slot));
+    if (through) through_bytes += s.length;
   }
   if (through && !fill_slices_.empty()) {
     LOR_RETURN_IF_ERROR(device_->WriteV(fill_slices_));
-    if (options_.write_back) stats_.forced_write_through += through_count;
+    if (options_.write_back) stats_.forced_write_through += fill_slices_.size();
   }
   if (device_bytes != nullptr) *device_bytes = through_bytes;
-  if (!through &&
-      static_cast<double>(dirty_bytes_) >
-          options_.dirty_ratio * static_cast<double>(options_.capacity_bytes)) {
-    // Lazy-writer threshold: one batched, offset-ordered writeback.
-    LOR_RETURN_IF_ERROR(FlushAll());
+  if (!through) LOR_RETURN_IF_ERROR(MaybeLazyFlush());
+  return Status::OK();
+}
+
+Status BufferPool::WriteStreamRun(uint64_t offset, uint64_t len,
+                                  uint64_t count,
+                                  std::span<const uint8_t> data,
+                                  double bandwidth_cap_bytes_per_s) {
+  if (!enabled()) {
+    return device_->WriteStreamRun(offset, len, count, data,
+                                   bandwidth_cap_bytes_per_s);
+  }
+  if (len == 0 || count == 0) return Status::OK();
+  if (len > device_->capacity() / count ||
+      offset > device_->capacity() - len * count) {
+    return Status::InvalidArgument("cache write out of range");
+  }
+  if (!data.empty() && data.size() != len * count) {
+    return Status::InvalidArgument("data size does not match request length");
+  }
+  const uint8_t* src = data.empty() ? nullptr : data.data();
+  // Seek position of the next request, walked from the frame the
+  // previous request wrote; valid until a write-through request (whose
+  // WriteThrough searches on its own).
+  Index::iterator next;
+  bool walked = false;
+  for (uint64_t i = 0; i < count; ++i, offset += len) {
+    const CacheSlice s{offset, len, src == nullptr ? nullptr : src + i * len,
+                       nullptr, offset, len};
+    device_->BeginStreamWindow();
+    if (!WriteBackActive()) {
+      // Forced (or configured) write-through: the request is exactly a
+      // one-slice WriteThrough.
+      LOR_RETURN_IF_ERROR(WriteThrough(std::span<const CacheSlice>(&s, 1)));
+      walked = false;
+    } else {
+      uint32_t slot = 0;
+      LOR_RETURN_IF_ERROR(
+          WriteSlice(walked ? next : Seek(offset), s, false, &slot));
+      // Nothing between here and the next request erases a frame (the
+      // lazy flush only cleans), so the walked position stays valid.
+      const Frame& f = slab_[slot];
+      next = f.end() > offset + len ? f.pos : std::next(f.pos);
+      walked = true;
+      LOR_RETURN_IF_ERROR(MaybeLazyFlush());
+    }
+    device_->EndStreamWindow(len, bandwidth_cap_bytes_per_s);
   }
   return Status::OK();
 }
 
 void BufferPool::Invalidate(uint64_t offset, uint64_t len) {
   if (!enabled() || len == 0) return;
-  for (auto it = FirstOverlap(offset, len);
-       it != frames_.end() && it->first < offset + len;) {
+  for (auto it = Seek(offset); Overlaps(it, offset + len);) {
     ++stats_.invalidations;
-    it = DropFrame(it);  // Dirty content dies with the owner.
+    it = DropFrame(it->second);  // Dirty content dies with the owner.
   }
 }
 
 uint64_t BufferPool::PinRange(uint64_t offset, uint64_t len) {
   if (!enabled() || len == 0) return 0;
   uint64_t pinned = 0;
-  for (auto it = FirstOverlap(offset, len);
-       it != frames_.end() && it->first < offset + len; ++it) {
-    ++it->second.pin;
+  for (auto it = Seek(offset); Overlaps(it, offset + len); ++it) {
+    ++FrameOf(it).pin;
     ++pinned;
   }
   return pinned;
@@ -491,14 +561,16 @@ uint64_t BufferPool::PinRange(uint64_t offset, uint64_t len) {
 
 void BufferPool::UnpinRange(uint64_t offset, uint64_t len) {
   if (!enabled() || len == 0) return;
-  for (auto it = FirstOverlap(offset, len);
-       it != frames_.end() && it->first < offset + len; ++it) {
-    if (it->second.pin > 0) --it->second.pin;
+  for (auto it = Seek(offset); Overlaps(it, offset + len); ++it) {
+    Frame& f = FrameOf(it);
+    if (f.pin > 0) --f.pin;
   }
 }
 
 void BufferPool::Reset() {
-  frames_.clear();
+  index_.clear();
+  slab_.clear();
+  free_slots_.clear();
   shards_.assign(options_.shards, Shard{});
   free_lists_.clear();
   free_list_bytes_ = 0;
@@ -506,37 +578,116 @@ void BufferPool::Reset() {
   dirty_bytes_ = 0;
 }
 
+Status BufferPool::CheckConsistency() const {
+  if (!enabled()) return Status::OK();
+  std::vector<uint64_t> shard_bytes(shards_.size(), 0);
+  uint64_t cached = 0;
+  uint64_t dirty = 0;
+  uint64_t prev_end = 0;
+  for (auto it = index_.begin(); it != index_.end(); ++it) {
+    if (it->second >= slab_.size()) {
+      return Status::Corruption("index entry names no slab slot");
+    }
+    const Frame& f = FrameOf(it);
+    if (f.seq == 0) return Status::Corruption("index entry names a free slot");
+    if (f.offset != it->first || f.pos != it) {
+      return Status::Corruption("frame disagrees with its index entry");
+    }
+    if (f.length == 0 || f.end() > device_->capacity() ||
+        f.end() < f.offset) {
+      return Status::Corruption("frame empty or outside the device");
+    }
+    if (f.offset < prev_end) return Status::Corruption("overlapping frames");
+    prev_end = f.end();
+    if (f.shard >= shards_.size() || f.shard != ShardOf(f.offset)) {
+      return Status::Corruption("frame in the wrong eviction domain");
+    }
+    if (f.data.size() != (RetainData() ? f.length : 0)) {
+      return Status::Corruption("frame payload size disagrees with length");
+    }
+    shard_bytes[f.shard] += f.length;
+    cached += f.length;
+    if (f.dirty) dirty += f.length;
+  }
+  if (cached != cached_bytes_) {
+    return Status::Corruption("cached_bytes disagrees with the frames");
+  }
+  if (dirty != dirty_bytes_) {
+    return Status::Corruption("dirty_bytes disagrees with the dirty frames");
+  }
+  std::vector<uint32_t> live_entries(slab_.size(), 0);
+  for (size_t d = 0; d < shards_.size(); ++d) {
+    if (shard_bytes[d] != shards_[d].used_bytes) {
+      return Status::Corruption("domain used_bytes disagrees with its frames");
+    }
+    for (const auto& [slot, seq] : shards_[d].clock_ring) {
+      if (slot >= slab_.size()) {
+        return Status::Corruption("ring entry names no slab slot");
+      }
+      const Frame& f = slab_[slot];
+      if (f.seq != seq) continue;  // Stale: removed when the hand passes.
+      if (f.shard != d) {
+        return Status::Corruption("live ring entry in a foreign domain");
+      }
+      ++live_entries[slot];
+    }
+  }
+  std::vector<bool> is_free(slab_.size(), false);
+  for (uint32_t slot : free_slots_) {
+    if (slot >= slab_.size() || is_free[slot]) {
+      return Status::Corruption("free slot listed twice or out of range");
+    }
+    if (slab_[slot].seq != 0) {
+      return Status::Corruption("slot both resident and free");
+    }
+    is_free[slot] = true;
+  }
+  uint64_t resident = 0;
+  for (size_t slot = 0; slot < slab_.size(); ++slot) {
+    if (slab_[slot].seq == 0) {
+      if (!is_free[slot]) return Status::Corruption("slot neither resident nor free");
+      continue;
+    }
+    ++resident;
+    if (live_entries[slot] != 1) {
+      return Status::Corruption("resident frame without exactly one live ring entry");
+    }
+  }
+  if (resident != index_.size()) {
+    return Status::Corruption("resident slots disagree with the index");
+  }
+  return Status::OK();
+}
+
 const uint8_t* BufferPool::ViewChunk(uint64_t offset, uint64_t len,
                                      uint64_t* chunk) const {
-  const Frame* f = FrameAt(offset);
-  if (f != nullptr) {
-    *chunk = std::min(f->end(), offset + len) - offset;
-    if (f->data.empty()) return nullptr;  // Bookkeeping frame: device view.
-    return f->data.data() + (offset - f->offset);
+  const auto it = Seek(offset);
+  const uint64_t end = offset + len;
+  if (it != index_.end() && it->first <= offset) {
+    const Frame& f = FrameOf(it);
+    *chunk = std::min(f.end(), end) - offset;
+    if (f.data.empty()) return nullptr;  // Bookkeeping frame: device view.
+    return f.data.data() + (offset - f.offset);
   }
-  auto it = frames_.upper_bound(offset);
-  const uint64_t gap_end =
-      it == frames_.end() ? offset + len : std::min(it->first, offset + len);
-  *chunk = gap_end - offset;
+  *chunk = (it == index_.end() ? end : std::min(it->first, end)) - offset;
   return nullptr;
 }
 
 uint8_t* BufferPool::MutableViewChunk(uint64_t offset, uint64_t len,
                                       uint64_t* chunk, bool through) {
-  Frame* f = FrameAt(offset);
-  if (f != nullptr) {
-    *chunk = std::min(f->end(), offset + len) - offset;
-    if (f->data.empty()) return nullptr;  // Device drops payload anyway.
-    if (!through && !f->dirty) {
-      f->dirty = true;
-      dirty_bytes_ += f->length;
+  const auto it = std::as_const(*this).Seek(offset);
+  const uint64_t end = offset + len;
+  if (it != index_.end() && it->first <= offset) {
+    Frame& f = slab_[it->second];
+    *chunk = std::min(f.end(), end) - offset;
+    if (f.data.empty()) return nullptr;  // Device drops payload anyway.
+    if (!through && !f.dirty) {
+      f.dirty = true;
+      dirty_bytes_ += f.length;
     }
-    return f->data.data() + (offset - f->offset);
+    return f.data.data() + (offset - f.offset);
   }
-  auto it = frames_.upper_bound(offset);
-  const uint64_t gap_end =
-      it == frames_.end() ? offset + len : std::min(it->first, offset + len);
-  *chunk = gap_end - offset;
+  *chunk = (it == index_.end() ? end : std::min(it->first, end)) - offset;
   return nullptr;
 }
 

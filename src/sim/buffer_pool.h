@@ -21,7 +21,9 @@
 //     granularity (optionally extended to the caller's fill range —
 //     read-ahead), into frames recycled from per-size free lists (the
 //     nanos-TFS buffer-recycling pattern: no per-fill allocation once
-//     the pool is warm).
+//     the pool is warm). A fill that would replace a frame an earlier
+//     slice of the same call still reads first completes the pending
+//     batch, so the call then issues one ReadV per such batch.
 //   * Writes are write-back by default: payload lands in dirty frames
 //     (host copy cost only) and reaches the platter lazily — when the
 //     dirty ratio trips, on FlushRange/FlushAll (fs fsync), at
@@ -34,13 +36,22 @@
 //     so the PR 7 crash-consistency oracle stays honest: an acked op's
 //     bytes are on the device before its commit record, never parked
 //     in DRAM. Reset() drops everything (mount-time recovery).
-//   * Eviction is CLOCK by default (strict LRU behind strict_lru),
-//     sharded: frames hash to `shards` independent eviction domains,
-//     each with its own capacity slice, clock hand, and recency index.
-//     Pinned frames are never evicted — when a domain is entirely
+//   * Eviction is CLOCK, sharded: frames hash to `shards` independent
+//     eviction domains, each with its own capacity slice and clock
+//     hand. Pinned frames are never evicted — when a domain is entirely
 //     pinned the pool grows past its slice and counts the refusal.
 //   * Pin/Unpin operate on the frames resident in a byte range; the
 //     handle layer pins an object's cached frames for the open window.
+//
+// Frame storage and eviction: frames live in a slab with stable slot
+// numbers (freed slots are reused) and an ordered offset -> slot index;
+// each frame keeps its own index position. Each domain's CLOCK ring
+// holds (slot, install seq) entries, so the sweep reads a frame's state
+// straight from the slab; entries whose seq no longer matches the slot
+// are stale and removed lazily as the hand passes them. Request paths
+// search the index once per slice (or once per append run) and walk
+// neighbouring frames from there: a hit over N frames costs one
+// descent, not 2N (BufferPoolStats::index_searches counts them).
 //
 // Data is retained in frames only when the device itself retains data
 // (DataMode::kRetain); on metadata-only devices frames are bookkeeping
@@ -54,6 +65,7 @@
 #define LOREPO_SIM_BUFFER_POOL_H_
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <span>
 #include <vector>
@@ -70,8 +82,6 @@ struct BufferPoolOptions {
   uint64_t capacity_bytes = 0;
   /// Independent eviction domains (capacity slice + CLOCK hand each).
   uint32_t shards = 4;
-  /// Strict LRU eviction instead of CLOCK.
-  bool strict_lru = false;
   /// Write-back with lazy flush; false = write-through.
   bool write_back = true;
   /// Flush all dirty frames when dirty bytes exceed this fraction of
@@ -104,6 +114,9 @@ struct BufferPoolStats {
   uint64_t eviction_refusals = 0; ///< Domain fully pinned; pool grew.
   uint64_t write_installs = 0;    ///< Writes absorbed into frames.
   uint64_t forced_write_through = 0;  ///< Armed-injector write-throughs.
+  /// Ordered-index descents (host work: one per hit slice, per install
+  /// or per append run, never one per frame walked).
+  uint64_t index_searches = 0;
 
   double hit_rate() const {
     const uint64_t total = hits + misses;
@@ -151,6 +164,20 @@ class BufferPool {
   /// (excluding any lazy-writer flush this call happens to trigger).
   Status WriteThrough(std::span<const CacheSlice> slices,
                       uint64_t* device_bytes = nullptr);
+
+  /// Run-length form of `count` back-to-back stream-windowed appends of
+  /// `len` bytes at offset, offset+len, ...: charges exactly what
+  /// `count` repetitions of
+  ///   BeginStreamWindow(); WriteThrough({one slice});
+  ///   EndStreamWindow(len, bandwidth_cap_bytes_per_s);
+  /// would — every install, eviction writeback, CPU charge and
+  /// lazy-writer flush lands on the same request — while each frame
+  /// after the first is found by walking from its predecessor. `data`
+  /// is empty (timing only) or exactly count*len bytes. The disabled
+  /// pool forwards to BlockDevice::WriteStreamRun.
+  Status WriteStreamRun(uint64_t offset, uint64_t len, uint64_t count,
+                        std::span<const uint8_t> data,
+                        double bandwidth_cap_bytes_per_s);
 
   /// Cache-coherent twin of BlockDevice::ReadView: chunks covered by a
   /// resident frame come from the frame (dirty bytes included), gaps
@@ -222,14 +249,24 @@ class BufferPool {
   /// post-crash mount path. Cumulative stats survive.
   void Reset();
 
+  /// Structural invariants: frames are non-overlapping and inside the
+  /// device; cached/dirty byte totals and per-domain used bytes match
+  /// the frames; every resident frame has exactly one live ring entry,
+  /// in its own domain; every slab slot is resident or free, never
+  /// both. OK on a disabled pool.
+  Status CheckConsistency() const;
+
   const BufferPoolStats& stats() const { return stats_; }
   const BufferPoolOptions& options() const { return options_; }
   uint64_t cached_bytes() const { return cached_bytes_; }
   uint64_t dirty_bytes() const { return dirty_bytes_; }
-  uint64_t frame_count() const { return frames_.size(); }
+  uint64_t frame_count() const { return index_.size(); }
   BlockDevice* device() { return device_; }
 
  private:
+  /// Ordered index: frame start offset -> slab slot.
+  using Index = std::map<uint64_t, uint32_t>;
+
   struct Frame {
     uint64_t offset = 0;
     uint64_t length = 0;
@@ -237,7 +274,10 @@ class BufferPool {
     std::vector<uint8_t> data;
     uint32_t pin = 0;
     uint32_t shard = 0;
-    uint64_t lru_seq = 0;
+    /// Install sequence number; 0 marks a free slab slot.
+    uint64_t seq = 0;
+    /// This frame's index entry (valid while resident).
+    Index::iterator pos;
     bool dirty = false;
     bool referenced = false;  ///< CLOCK second-chance bit.
     uint64_t end() const { return offset + length; }
@@ -246,21 +286,22 @@ class BufferPool {
   /// One deferred payload move of a ReadThrough call (hit copies and
   /// miss copy-outs both run after the batched fill ReadV, so a frame
   /// installed by an earlier slice is never read before it is filled).
+  /// Holds a slot: a later slice's install may drop and reuse frames,
+  /// which ReadThrough rules out for slots a pending job holds.
   struct CopyJob {
-    Frame* frame = nullptr;
+    uint32_t slot = 0;
     uint64_t offset_in_frame = 0;
     uint8_t* dst = nullptr;
     uint64_t length = 0;
   };
 
-  /// Per-domain eviction state. The clock ring holds (offset, install
-  /// seq) pairs; entries whose seq no longer matches the resident
-  /// frame are stale and removed lazily as the hand passes them.
+  /// Per-domain eviction state. The clock ring holds (slot, install
+  /// seq) pairs; entries whose seq no longer matches the slot's frame
+  /// are stale and removed lazily as the hand passes them.
   struct Shard {
     uint64_t used_bytes = 0;
-    std::vector<std::pair<uint64_t, uint64_t>> clock_ring;
+    std::vector<std::pair<uint32_t, uint64_t>> clock_ring;
     size_t hand = 0;
-    std::map<uint64_t, uint64_t> lru_index;  ///< seq -> frame offset.
   };
 
   uint32_t ShardOf(uint64_t offset) const {
@@ -276,25 +317,50 @@ class BufferPool {
   /// configured and no armed fault injector on the device).
   bool WriteBackActive() const;
 
-  /// Iterator to the first frame intersecting [offset, offset+len), or
-  /// end() when none does.
-  std::map<uint64_t, Frame>::iterator FirstOverlap(uint64_t offset,
-                                                   uint64_t len);
-  /// Frame containing `offset`, or null.
-  Frame* FrameAt(uint64_t offset);
-  const Frame* FrameAt(uint64_t offset) const;
+  /// The one index descent: the first frame ending after `offset` —
+  /// the frame containing it, else the next frame up (end() if none).
+  /// Every frame intersecting [offset, offset+len) follows it in index
+  /// order, and with no intersection it is the insertion position for
+  /// a frame starting at `offset`. The mutable form counts the descent
+  /// in index_searches; the const form serves the charge-free views.
+  Index::iterator Seek(uint64_t offset);
+  Index::const_iterator Seek(uint64_t offset) const;
 
-  /// True when [offset, offset+len) is fully covered by (contiguous)
-  /// resident frames.
-  bool Covered(uint64_t offset, uint64_t len) const;
+  bool Overlaps(Index::const_iterator it, uint64_t end) const {
+    return it != index_.end() && it->first < end;
+  }
+  Frame& FrameOf(Index::const_iterator it) { return slab_[it->second]; }
+  const Frame& FrameOf(Index::const_iterator it) const {
+    return slab_[it->second];
+  }
 
-  /// Marks a frame recently used (CLOCK ref bit / LRU re-stamp).
-  void Touch(Frame* frame);
+  /// Installs a frame for [offset, offset+len) given `it` = Seek(offset):
+  /// flushes dirty overlaps, drops all overlaps (skipped when nothing
+  /// overlaps), evicts for space, takes a recycled buffer. `*slot`
+  /// receives the new frame's slot.
+  Status InstallFrame(Index::iterator it, uint64_t offset, uint64_t len,
+                      uint32_t* slot);
 
-  /// Installs a frame for [offset, len): flushes dirty partial
-  /// overlaps, drops full overlaps, evicts for space, takes a recycled
-  /// buffer. `*out` receives the new frame.
-  Status InstallFrame(uint64_t offset, uint64_t len, Frame** out);
+  /// The single-slice write body shared by WriteThrough and
+  /// WriteStreamRun (`it` = Seek(s.offset)): updates the covering frame
+  /// in place or installs one, counts the install, and either queues
+  /// the slice for write-through or marks the frame dirty and charges
+  /// the copy. `*slot` receives the written frame.
+  Status WriteSlice(Index::iterator it, const CacheSlice& s, bool through,
+                    uint32_t* slot);
+
+  /// True when a pending ReadThrough copy or fill uses a frame that
+  /// intersects [it's frame, end) (`it` = Seek(range start)).
+  bool PendingOn(Index::const_iterator it, uint64_t end) const;
+
+  /// Completes the pending ReadThrough batch: the one vectored fill
+  /// read (skipped when `status` is already an error), the deferred
+  /// copies and transient unpins; a failed batch drops the frames it
+  /// installed. Returns the batch status and clears the batch.
+  Status FinishReads(Status status);
+
+  /// Lazy-writer threshold check after a write-back call.
+  Status MaybeLazyFlush();
 
   /// Evicts until `shard` can absorb `incoming` more bytes; gives up
   /// (and lets the domain overflow) when only pinned frames remain.
@@ -303,18 +369,19 @@ class BufferPool {
   /// one existed.
   Status EvictOne(uint32_t shard, bool* evicted);
 
-  /// Removes a frame from the index + eviction state, recycling its
-  /// buffer, and returns the iterator past it. Does not write anything
-  /// back — callers flush or discard dirty content first.
-  std::map<uint64_t, Frame>::iterator DropFrame(
-      std::map<uint64_t, Frame>::iterator it);
+  /// Removes a resident frame from the index + eviction state, recycling
+  /// its buffer and freeing its slot, and returns the index iterator
+  /// past it. Does not write anything back — callers flush or discard
+  /// dirty content first.
+  Index::iterator DropFrame(uint32_t slot);
 
   /// Writes one dirty frame back (scalar submit) and marks it clean.
   Status WriteBackFrame(Frame* frame);
 
-  /// Flushes the dirty frames overlapping [offset, offset+len) — the
-  /// shared core of FlushRange/FlushAll — as one SubmitV batch.
-  Status FlushOverlapping(uint64_t offset, uint64_t len);
+  /// Flushes the dirty frames intersecting [it's frame, end) — the
+  /// shared core of FlushRange/FlushAll/InstallFrame — as one SubmitV
+  /// batch (`it` = Seek(range start)).
+  Status FlushOverlapping(Index::const_iterator it, uint64_t end);
 
   /// Buffer recycling (per-size free lists, power-of-two classes).
   std::vector<uint8_t> TakeBuffer(uint64_t len);
@@ -333,12 +400,16 @@ class BufferPool {
   BlockDevice* device_;
   BufferPoolOptions options_;
   BufferPoolStats stats_;
-  /// Non-overlapping frames by start offset.
-  std::map<uint64_t, Frame> frames_;
+  /// Frame slab (stable slot numbers and addresses, no reallocation as
+  /// it grows; free slots have seq 0 and are reused LIFO) and the
+  /// non-overlapping frames by start offset.
+  std::deque<Frame> slab_;
+  std::vector<uint32_t> free_slots_;
+  Index index_;
   std::vector<Shard> shards_;
   uint64_t cached_bytes_ = 0;
   uint64_t dirty_bytes_ = 0;
-  uint64_t lru_clock_ = 0;
+  uint64_t install_seq_ = 0;
   /// Recycled buffers by floor-log2 capacity class.
   std::vector<std::vector<std::vector<uint8_t>>> free_lists_;
   uint64_t free_list_bytes_ = 0;
@@ -346,11 +417,11 @@ class BufferPool {
   /// copies — reused across calls so the hit path never allocates.
   std::vector<IoSlice> fill_slices_;
   std::vector<IoRequest> flush_requests_;
-  std::vector<Frame*> flush_frames_;
+  std::vector<uint32_t> flush_slots_;
   std::vector<CopyJob> copy_jobs_;
-  /// Start offsets of frames installed by the in-progress ReadThrough;
+  /// (slot, seq) of frames installed by the pending ReadThrough batch;
   /// a failed fill drops exactly these (never parks them as valid).
-  std::vector<uint64_t> fill_offsets_;
+  std::vector<std::pair<uint32_t, uint64_t>> fill_frames_;
 };
 
 }  // namespace sim

@@ -20,6 +20,7 @@
 #include "sim/fault_injector.h"
 #include "sim/media_fault.h"
 #include "util/fnv.h"
+#include "util/random.h"
 #include "workload/crash_torture.h"
 #include "workload/getput_runner.h"
 
@@ -212,32 +213,6 @@ TEST(BufferPoolTest, EvictionRecyclesFrameBuffers) {
   EXPECT_LE(pool.cached_bytes(), options.capacity_bytes);
 }
 
-TEST(BufferPoolTest, StrictLruEvictsColdestFrame) {
-  BlockDevice dev(SmallDisk(8 * kMiB), DataMode::kRetain);
-  BufferPoolOptions options;
-  options.capacity_bytes = 2 * kFrame;
-  options.shards = 1;
-  options.strict_lru = true;
-  BufferPool pool(&dev, options);
-  ASSERT_TRUE(dev.Write(0, 8 * kFrame).ok());
-
-  std::vector<uint8_t> back(kFrame);
-  auto read = [&](uint64_t frame) {
-    std::vector<CacheSlice> r = {
-        Slice(frame * kFrame, kFrame, nullptr, back.data())};
-    ASSERT_TRUE(pool.ReadThrough(r).ok());
-  };
-  read(0);
-  read(1);
-  read(0);  // 0 is now the most recent; 1 is the LRU victim.
-  read(2);  // Evicts 1.
-  const uint64_t misses = pool.stats().misses;
-  read(0);
-  EXPECT_EQ(pool.stats().misses, misses) << "frame 0 should have survived";
-  read(1);
-  EXPECT_EQ(pool.stats().misses, misses + 1) << "frame 1 should be gone";
-}
-
 TEST(BufferPoolTest, PinnedFramesRefuseEviction) {
   BlockDevice dev(SmallDisk(8 * kMiB), DataMode::kRetain);
   BufferPoolOptions options;
@@ -388,6 +363,277 @@ TEST(BufferPoolTest, FailedFillDropsFrameInsteadOfServingZeros) {
   ASSERT_TRUE(pool.ReadThrough(again).ok());
   EXPECT_EQ(back, data) << "cache served a never-filled frame";
   EXPECT_GT(dev.stats().reads, reads_before);
+}
+
+// Two slices of one call: the first hits a resident frame, the second
+// misses with a read-ahead fill that overlaps (and so replaces) that
+// frame. The first slice's deferred copy must still deliver its bytes.
+TEST(BufferPoolTest, LaterFillReplacingAnEarlierSlicesFrameKeepsItsBytes) {
+  BlockDevice dev(SmallDisk(8 * kMiB), DataMode::kRetain);
+  BufferPoolOptions options;
+  options.capacity_bytes = 1 * kMiB;
+  BufferPool pool(&dev, options);
+  const std::vector<uint8_t> data = Pattern(4 * kFrame, 14);
+  ASSERT_TRUE(dev.Write(0, 4 * kFrame, data).ok());
+  std::vector<uint8_t> scratch(2 * kFrame);
+  std::vector<CacheSlice> warm = {
+      Slice(0, 2 * kFrame, nullptr, scratch.data())};
+  ASSERT_TRUE(pool.ReadThrough(warm).ok());  // Frame [0, 2*kFrame).
+
+  std::vector<uint8_t> a(4096, 0xEE);
+  std::vector<uint8_t> b(kFrame, 0xEE);
+  std::vector<CacheSlice> r = {
+      Slice(0, 4096, nullptr, a.data()),
+      {2 * kFrame, kFrame, nullptr, b.data(), kFrame, 3 * kFrame}};
+  ASSERT_TRUE(pool.ReadThrough(r).ok());
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), data.begin()));
+  EXPECT_TRUE(std::equal(b.begin(), b.end(),
+                         data.begin() + static_cast<long>(2 * kFrame)));
+  EXPECT_EQ(pool.stats().hits, 1u);
+  EXPECT_EQ(pool.frame_count(), 1u) << "the fill replaced the warm frame";
+  EXPECT_TRUE(pool.CheckConsistency().ok());
+}
+
+// Host work: a hit walks its frames from one index descent instead of
+// searching once per frame (twice, counting the coverage check).
+TEST(BufferPoolTest, HitSliceOverSixteenFramesCostsOneSearch) {
+  BlockDevice dev(SmallDisk(8 * kMiB), DataMode::kRetain);
+  BufferPoolOptions options;
+  options.capacity_bytes = 8 * kMiB;
+  options.read_ahead = false;
+  BufferPool pool(&dev, options);
+  const std::vector<uint8_t> data = Pattern(16 * kFrame, 12);
+  ASSERT_TRUE(dev.Write(0, 16 * kFrame, data).ok());
+
+  std::vector<uint8_t> back(16 * kFrame);
+  for (uint64_t i = 0; i < 16; ++i) {
+    std::vector<CacheSlice> r = {
+        Slice(i * kFrame, kFrame, nullptr, back.data() + i * kFrame)};
+    ASSERT_TRUE(pool.ReadThrough(r).ok());
+  }
+  ASSERT_EQ(pool.frame_count(), 16u);
+
+  std::fill(back.begin(), back.end(), 0);
+  const uint64_t searches = pool.stats().index_searches;
+  const uint64_t hits = pool.stats().hits;
+  std::vector<CacheSlice> all = {
+      Slice(0, 16 * kFrame, nullptr, back.data())};
+  ASSERT_TRUE(pool.ReadThrough(all).ok());
+  EXPECT_EQ(pool.stats().hits, hits + 1);
+  EXPECT_EQ(pool.stats().index_searches, searches + 1);
+  EXPECT_EQ(back, data);
+  EXPECT_TRUE(pool.CheckConsistency().ok());
+}
+
+// WriteStreamRun is the run-length form of one-slice WriteThrough calls
+// inside stream windows: identical clock, device and pool counters and
+// bytes — the lazy writer trips after the same request (the ninth) —
+// at one index descent for the whole run instead of one per request.
+TEST(BufferPoolTest, WriteStreamRunMatchesPerRequestWritesAtOneSearch) {
+  constexpr uint64_t kCount = 16;
+  constexpr double kCap = 40.0e6;
+  const std::vector<uint8_t> data = Pattern(kCount * kFrame, 13);
+  struct Side {
+    double now = 0.0;
+    IoStats io;
+    BufferPoolStats pool;
+    uint64_t dirty = 0;
+    std::vector<uint8_t> bytes;
+  };
+  auto drive = [&](bool run) {
+    BlockDevice dev(SmallDisk(8 * kMiB), DataMode::kRetain);
+    BufferPoolOptions options;
+    options.capacity_bytes = 8 * kMiB;
+    options.dirty_ratio = 1.0 / 16;  // Flush once dirty exceeds 512 KiB.
+    BufferPool pool(&dev, options);
+    const uint64_t offset = 3 * kMiB + 4096;
+    if (run) {
+      EXPECT_TRUE(
+          pool.WriteStreamRun(offset, kFrame, kCount, data, kCap).ok());
+    } else {
+      for (uint64_t i = 0; i < kCount; ++i) {
+        dev.BeginStreamWindow();
+        std::vector<CacheSlice> w = {Slice(offset + i * kFrame, kFrame,
+                                           data.data() + i * kFrame,
+                                           nullptr)};
+        EXPECT_TRUE(pool.WriteThrough(w).ok());
+        dev.EndStreamWindow(kFrame, kCap);
+      }
+    }
+    EXPECT_TRUE(pool.CheckConsistency().ok());
+    Side side;
+    side.now = dev.clock().now();
+    side.io = dev.stats();
+    side.pool = pool.stats();
+    side.dirty = pool.dirty_bytes();
+    pool.View(offset, kCount * kFrame, [&](std::span<const uint8_t> c) {
+      side.bytes.insert(side.bytes.end(), c.begin(), c.end());
+    });
+    return side;
+  };
+  const Side run = drive(true);
+  const Side per_request = drive(false);
+  EXPECT_EQ(run.now, per_request.now);
+  EXPECT_EQ(run.io.writes, per_request.io.writes);
+  EXPECT_EQ(run.io.busy_time_s, per_request.io.busy_time_s);
+  EXPECT_EQ(run.pool.write_installs, kCount);
+  EXPECT_EQ(run.pool.write_installs, per_request.pool.write_installs);
+  EXPECT_EQ(run.pool.evictions, 0u);
+  EXPECT_EQ(run.pool.writebacks, 9u);
+  EXPECT_EQ(run.pool.writebacks, per_request.pool.writebacks);
+  EXPECT_EQ(run.dirty, (kCount - 9) * kFrame);
+  EXPECT_EQ(run.dirty, per_request.dirty);
+  EXPECT_EQ(run.bytes, data);
+  EXPECT_EQ(per_request.bytes, data);
+  EXPECT_LE(run.pool.index_searches, 2u);
+  EXPECT_EQ(per_request.pool.index_searches, kCount);
+}
+
+// Seeded churn over every pool entry point on a small two-domain pool:
+// the structural invariants hold after every operation, and every byte
+// read back (and, at the end, every byte on the platter) matches a
+// shadow copy of what was written. Invalidate and a bare Reset discard
+// dirty bytes, so the bytes they may touch become unknown until they
+// are written again.
+TEST(BufferPoolTest, RandomChurnKeepsInvariantsAndBytes) {
+  constexpr uint64_t kDevice = 4 * kMiB;
+  constexpr uint64_t kMaxLen = 96 * kKiB;
+  BlockDevice dev(SmallDisk(kDevice), DataMode::kRetain);
+  BufferPoolOptions options;
+  options.capacity_bytes = 768 * kKiB;
+  options.shards = 2;
+  BufferPool pool(&dev, options);
+
+  std::vector<uint8_t> shadow(kDevice, 0);
+  std::vector<bool> known(kDevice, true);
+  Rng rng(20260521);
+  auto forget = [&](uint64_t lo, uint64_t hi) {
+    // Any frame overlapping [lo, hi) is at most 3*kMaxLen long (a read
+    // fill extends a request by up to kMaxLen on each side).
+    lo = lo > 3 * kMaxLen ? lo - 3 * kMaxLen : 0;
+    hi = std::min(kDevice, hi + 3 * kMaxLen);
+    std::fill(known.begin() + static_cast<long>(lo),
+              known.begin() + static_cast<long>(hi), false);
+  };
+  auto remember = [&](uint64_t off, uint64_t len, const uint8_t* src) {
+    for (uint64_t i = 0; i < len; ++i) {
+      shadow[off + i] = src == nullptr ? 0 : src[i];
+      known[off + i] = true;
+    }
+  };
+  auto expect_bytes = [&](uint64_t off, std::span<const uint8_t> got,
+                          uint64_t op) {
+    for (uint64_t i = 0; i < got.size(); ++i) {
+      if (known[off + i] && got[i] != shadow[off + i]) {
+        ADD_FAILURE() << "op " << op << ": byte " << off + i << " is "
+                      << int{got[i]} << ", wrote " << int{shadow[off + i]};
+        return;
+      }
+    }
+  };
+  // Up to three disjoint ranges, in offset order.
+  auto draw_ranges = [&](uint64_t n) {
+    std::vector<std::pair<uint64_t, uint64_t>> ranges;
+    uint64_t pos = rng.Uniform(kDevice / 2);
+    for (uint64_t i = 0; i < n; ++i) {
+      const uint64_t len = rng.UniformRange(1, kMaxLen / 4096) * 4096 -
+                           (rng.Bernoulli(0.3) ? rng.Uniform(4096) : 0);
+      if (pos + len > kDevice) break;
+      ranges.emplace_back(pos, len);
+      pos += len + rng.Uniform(2) * rng.Uniform(kMaxLen);
+    }
+    return ranges;
+  };
+  std::vector<std::pair<uint64_t, uint64_t>> pins;
+  uint64_t salt = 0;
+  for (uint64_t op = 0; op < 4000; ++op) {
+    const uint64_t kind = rng.Uniform(100);
+    if (kind < 30) {
+      // Read: up to three slices, most with a read-ahead fill (which
+      // may overlap frames an earlier slice of the same call uses).
+      auto ranges = draw_ranges(rng.UniformRange(1, 3));
+      std::vector<std::vector<uint8_t>> outs(ranges.size());
+      std::vector<CacheSlice> slices;
+      for (size_t i = 0; i < ranges.size(); ++i) {
+        outs[i].assign(ranges[i].second, 0xEE);
+        slices.push_back(Slice(ranges[i].first, ranges[i].second, nullptr,
+                               outs[i].data()));
+      }
+      for (CacheSlice& sl : slices) {
+        if (rng.Bernoulli(0.3)) continue;  // Fill exactly the request.
+        const uint64_t before = rng.Uniform(kMaxLen);
+        const uint64_t after = rng.Uniform(kMaxLen);
+        sl.fill_offset = sl.offset > before ? sl.offset - before : 0;
+        sl.fill_length =
+            std::min(kDevice, sl.offset + sl.length + after) - sl.fill_offset;
+      }
+      ASSERT_TRUE(pool.ReadThrough(slices).ok()) << "op " << op;
+      for (size_t i = 0; i < ranges.size(); ++i) {
+        expect_bytes(ranges[i].first, outs[i], op);
+      }
+    } else if (kind < 55) {
+      // Write: several disjoint slices, some timing-only.
+      auto ranges = draw_ranges(rng.UniformRange(1, 3));
+      std::vector<std::vector<uint8_t>> ins;
+      std::vector<CacheSlice> slices;
+      for (const auto& [off, len] : ranges) {
+        ins.push_back(Pattern(len, static_cast<uint8_t>(++salt)));
+        const uint8_t* src = rng.Bernoulli(0.15) ? nullptr : ins.back().data();
+        slices.push_back(Slice(off, len, src, nullptr));
+      }
+      ASSERT_TRUE(pool.WriteThrough(slices).ok()) << "op " << op;
+      for (const CacheSlice& sl : slices) remember(sl.offset, sl.length, sl.src);
+    } else if (kind < 70) {
+      // Append run.
+      const uint64_t len = rng.UniformRange(1, 16) * 4096;
+      const uint64_t count = rng.UniformRange(1, 12);
+      const uint64_t off = rng.Uniform(kDevice - len * count);
+      const bool timing_only = rng.Bernoulli(0.15);
+      const std::vector<uint8_t> data =
+          timing_only ? std::vector<uint8_t>()
+                      : Pattern(len * count, static_cast<uint8_t>(++salt));
+      ASSERT_TRUE(pool.WriteStreamRun(off, len, count, data, 40.0e6).ok())
+          << "op " << op;
+      remember(off, len * count, timing_only ? nullptr : data.data());
+    } else if (kind < 78) {
+      const uint64_t off = rng.Uniform(kDevice - kMaxLen);
+      const uint64_t len = rng.UniformRange(1, kMaxLen);
+      pool.Invalidate(off, len);
+      forget(off, off + len);
+    } else if (kind < 86) {
+      const uint64_t off = rng.Uniform(kDevice - kMaxLen);
+      const uint64_t len = rng.UniformRange(1, 4 * kMaxLen);
+      if (pins.size() < 4 && rng.Bernoulli(0.6)) {
+        pool.PinRange(off, len);
+        pins.emplace_back(off, len);
+      } else if (!pins.empty()) {
+        pool.UnpinRange(pins.back().first, pins.back().second);
+        pins.pop_back();
+      }
+    } else if (kind < 96) {
+      const uint64_t off = rng.Uniform(kDevice - kMaxLen);
+      ASSERT_TRUE(pool.FlushRange(off, rng.UniformRange(1, kMaxLen)).ok());
+    } else {
+      if (rng.Bernoulli(0.5)) {
+        ASSERT_TRUE(pool.FlushAll().ok());  // Clean remount: bytes kept.
+      } else {
+        forget(0, kDevice);  // Crash remount: dirty bytes die.
+      }
+      pool.Reset();
+      pins.clear();
+    }
+    const Status consistent = pool.CheckConsistency();
+    ASSERT_TRUE(consistent.ok()) << "op " << op << ": " << consistent.ToString();
+  }
+  EXPECT_GT(pool.stats().evictions, 0u);
+  EXPECT_GT(pool.stats().hits, 0u);
+  EXPECT_GT(pool.stats().writebacks, 0u);
+  ASSERT_TRUE(pool.FlushAll().ok());
+  uint64_t pos = 0;
+  dev.ReadView(0, kDevice, [&](std::span<const uint8_t> chunk) {
+    expect_bytes(pos, chunk, 4000);
+    pos += chunk.size();
+  });
 }
 
 }  // namespace

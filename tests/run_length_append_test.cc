@@ -10,7 +10,9 @@
 // observable to match bit for bit: the clock, every IoStats field, the
 // extent lists, the free-space map, FileStoreStats, the fragmentation
 // tracker, payload hashes and block checksums, latency histograms,
-// crash-cut outcomes, and the status of every operation.
+// buffer-pool counters (when a pool fronts the device, whose appends
+// take the run path through BufferPool::WriteStreamRun), crash-cut
+// outcomes, and the status of every operation.
 
 #include <gtest/gtest.h>
 
@@ -196,6 +198,8 @@ struct StoreDigest {
   uint64_t tracker_fragments = 0;
   uint64_t tracker_bytes = 0;
   std::string latency;
+  sim::BufferPoolStats cache;
+  std::string consistency;
 };
 
 StoreDigest Digest(core::FsRepository* repo) {
@@ -222,6 +226,8 @@ StoreDigest Digest(core::FsRepository* repo) {
   d.tracker_fragments = store->fragmentation_tracker().total_fragments();
   d.tracker_bytes = store->fragmentation_tracker().total_bytes();
   d.latency = repo->latency_recorder()->ToString();
+  d.cache = repo->cache_stats();
+  d.consistency = repo->CheckConsistency().ToString();
   return d;
 }
 
@@ -245,6 +251,28 @@ void ExpectSameIo(const sim::IoStats& a, const sim::IoStats& b) {
   EXPECT_EQ(a.media_read_errors, b.media_read_errors);
   EXPECT_EQ(a.degraded_requests, b.degraded_requests);
   EXPECT_EQ(a.degraded_time_s, b.degraded_time_s);
+}
+
+void ExpectSamePool(const sim::BufferPoolStats& a,
+                    const sim::BufferPoolStats& b) {
+  // Every counter but index_searches, which counts host work the run
+  // path is there to save.
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.fills, b.fills);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.writebacks, b.writebacks);
+  EXPECT_EQ(a.invalidations, b.invalidations);
+  EXPECT_EQ(a.hit_bytes, b.hit_bytes);
+  EXPECT_EQ(a.miss_bytes, b.miss_bytes);
+  EXPECT_EQ(a.fill_bytes, b.fill_bytes);
+  EXPECT_EQ(a.writeback_bytes, b.writeback_bytes);
+  EXPECT_EQ(a.frame_allocs, b.frame_allocs);
+  EXPECT_EQ(a.frame_recycles, b.frame_recycles);
+  EXPECT_EQ(a.pinned_hits, b.pinned_hits);
+  EXPECT_EQ(a.eviction_refusals, b.eviction_refusals);
+  EXPECT_EQ(a.write_installs, b.write_installs);
+  EXPECT_EQ(a.forced_write_through, b.forced_write_through);
 }
 
 void ExpectSameStore(const StoreDigest& a, const StoreDigest& b) {
@@ -283,6 +311,9 @@ void ExpectSameStore(const StoreDigest& a, const StoreDigest& b) {
   EXPECT_EQ(a.tracker_fragments, b.tracker_fragments);
   EXPECT_EQ(a.tracker_bytes, b.tracker_bytes);
   EXPECT_EQ(a.latency, b.latency);
+  ExpectSamePool(a.cache, b.cache);
+  EXPECT_EQ(a.consistency, "OK");
+  EXPECT_EQ(b.consistency, "OK");
 }
 
 // ---------------------------------------------------------------------
@@ -403,14 +434,17 @@ TEST_P(RunLengthAppendTest, RunPathMatchesPerRequestPathBitForBit) {
     const Outcome per_request = RunScenario(s, Path::kPerRequest, seed);
     ExpectSameOutcome(run, per_request);
     EXPECT_EQ(per_request.runs_claimed, 0u);
-    if (s.cache_bytes == 0 && !s.preallocate) {
-      // The run path must actually have been taken, and saved calls.
+    if (!s.preallocate) {
+      // The run path must actually have been taken, and saved calls —
+      // pool-fronted appends included.
       EXPECT_GT(run.runs_claimed, 0u);
       EXPECT_LT(run.allocate_calls, per_request.allocate_calls);
-    } else if (s.cache_bytes != 0) {
-      // Pool-fronted appends keep the per-request path.
-      EXPECT_EQ(run.runs_claimed, 0u);
-      EXPECT_EQ(run.allocate_calls, per_request.allocate_calls);
+    }
+    if (s.cache_bytes != 0) {
+      // The pool saw real traffic: appends parked, frames evicted.
+      EXPECT_GT(run.store.cache.write_installs, 0u);
+      EXPECT_GT(run.store.cache.evictions, 0u);
+      if (s.crash) EXPECT_GT(run.store.cache.forced_write_through, 0u);
     }
   }
 }
@@ -419,7 +453,13 @@ Scenario Sync() { return {}; }
 Scenario Queued() { return {.queue_depth = 8}; }
 Scenario Retain() { return {.retain = true}; }
 Scenario RetainQueued() { return {.queue_depth = 8, .retain = true}; }
-Scenario Pool() { return {.cache_bytes = 8 * kMiB}; }
+// A 4 MiB pool: 1 MiB eviction domains, and a 1 MiB lazy-writer
+// threshold that objects of up to 2 MiB trip in the middle of a run.
+constexpr uint64_t kPool = 4 * kMiB;
+Scenario Pool() { return {.cache_bytes = kPool}; }
+Scenario PoolQueued() { return {.queue_depth = 8, .cache_bytes = kPool}; }
+Scenario PoolRetain() { return {.retain = true, .cache_bytes = kPool}; }
+Scenario PoolCrash() { return {.cache_bytes = kPool, .crash = true}; }
 Scenario MediaDisarmed() { return {.media_attached = true}; }
 Scenario MediaDegraded() { return {.media_degraded = true}; }
 Scenario Crash() { return {.crash = true}; }
@@ -432,6 +472,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair("retain_payload", Retain()),
                       std::make_pair("retain_payload_qd8", RetainQueued()),
                       std::make_pair("pool", Pool()),
+                      std::make_pair("pool_qd8", PoolQueued()),
+                      std::make_pair("pool_retain_payload", PoolRetain()),
+                      std::make_pair("pool_armed_injector_cut", PoolCrash()),
                       std::make_pair("media_disarmed", MediaDisarmed()),
                       std::make_pair("media_degraded", MediaDegraded()),
                       std::make_pair("armed_injector_cut", Crash()),
@@ -449,7 +492,8 @@ struct SharedOutcome {
   uint64_t runs_claimed = 0;
 };
 
-SharedOutcome RunShared(Path path, uint32_t queue_depth) {
+SharedOutcome RunShared(Path path, uint32_t queue_depth,
+                        uint64_t cache_bytes = 0) {
   constexpr uint32_t kOwners = 2;
   sim::SpindlePlane::Params params;
   params.region_bytes = kVolume;
@@ -466,6 +510,7 @@ SharedOutcome RunShared(Path path, uint32_t queue_depth) {
     config.write_request_bytes = kRequest;
     config.spindle = plane;
     config.spindle_owner = o;
+    config.cache.capacity_bytes = cache_bytes;
     std::unique_ptr<PerRequestAllocator> alloc = MakeAllocator(config, path);
     counters.push_back(alloc.get());
     repos.push_back(
@@ -507,6 +552,23 @@ TEST(RunLengthAppendSharedSpindleTest, TwoOwnersMatchPerRequestBitForBit) {
     }
     EXPECT_GT(run.stores[0].io.interference_seeks, 0u);
   }
+}
+
+// The shape of a cached shared-spindle workload: two owners, each with
+// its own pool, at queue depth 8.
+TEST(RunLengthAppendSharedSpindleTest, TwoCachedOwnersAtQd8MatchPerRequest) {
+  const SharedOutcome run = RunShared(Path::kRun, 8, 8 * kMiB);
+  const SharedOutcome per_request = RunShared(Path::kPerRequest, 8, 8 * kMiB);
+  EXPECT_GT(run.runs_claimed, 0u);
+  EXPECT_EQ(run.hub_now, per_request.hub_now);
+  ASSERT_EQ(run.stores.size(), per_request.stores.size());
+  for (size_t o = 0; o < run.stores.size(); ++o) {
+    SCOPED_TRACE("owner " + std::to_string(o));
+    EXPECT_EQ(run.logs[o], per_request.logs[o]);
+    ExpectSameStore(run.stores[o], per_request.stores[o]);
+    EXPECT_GT(run.stores[o].cache.write_installs, 0u);
+  }
+  EXPECT_GT(run.stores[0].io.interference_seeks, 0u);
 }
 
 // ---------------------------------------------------------------------
