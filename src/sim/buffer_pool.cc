@@ -311,6 +311,7 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
         job.dst = s.dst == nullptr ? nullptr : s.dst + (pos - s.offset);
         job.length = chunk;
         copy_jobs_.push_back(job);
+        f.pending = true;
         ++f.pin;  // Transient: protects the frame until the copy runs.
         pos += chunk;
       }
@@ -359,6 +360,7 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
     job.dst = s.dst;
     job.length = s.length;
     copy_jobs_.push_back(job);
+    frame.pending = true;
     ++frame.pin;
   }
   const Status status = FinishReads(Status::OK());
@@ -369,9 +371,7 @@ Status BufferPool::ReadThrough(std::span<const CacheSlice> slices,
 bool BufferPool::PendingOn(Index::const_iterator it, uint64_t end) const {
   if (copy_jobs_.empty()) return false;
   for (; Overlaps(it, end); ++it) {
-    for (const CopyJob& job : copy_jobs_) {
-      if (job.slot == it->second) return true;
-    }
+    if (FrameOf(it).pending) return true;
   }
   return false;
 }
@@ -394,6 +394,7 @@ Status BufferPool::FinishReads(Status status) {
                     job.length);
       }
     }
+    f.pending = false;
     if (f.pin > 0) --f.pin;
   }
   if (!status.ok()) {
@@ -438,7 +439,7 @@ Status BufferPool::WriteSlice(Index::iterator it, const CacheSlice& s,
   if (through) {
     // The frame's other bytes keep whatever dirtiness they had; the
     // slice itself is now coherent with the device either way.
-    fill_slices_.push_back({s.offset, s.length, s.src, nullptr});
+    write_slices_.push_back({s.offset, s.length, s.src, nullptr});
     return Status::OK();
   }
   Frame& f = slab_[*slot];
@@ -462,18 +463,17 @@ Status BufferPool::MaybeLazyFlush() {
 
 Status BufferPool::WriteThrough(std::span<const CacheSlice> slices,
                                 uint64_t* device_bytes) {
+  write_slices_.clear();
   if (!enabled()) {
-    fill_slices_.clear();
     uint64_t total = 0;
     for (const CacheSlice& s : slices) {
-      fill_slices_.push_back({s.offset, s.length, s.src, nullptr});
+      write_slices_.push_back({s.offset, s.length, s.src, nullptr});
       total += s.length;
     }
     if (device_bytes != nullptr) *device_bytes = total;
-    return device_->WriteV(fill_slices_);
+    return device_->WriteV(write_slices_);
   }
   const bool through = !WriteBackActive();
-  fill_slices_.clear();
   uint64_t through_bytes = 0;
   for (const CacheSlice& s : slices) {
     if (s.length == 0) continue;
@@ -485,9 +485,9 @@ Status BufferPool::WriteThrough(std::span<const CacheSlice> slices,
     LOR_RETURN_IF_ERROR(WriteSlice(Seek(s.offset), s, through, &slot));
     if (through) through_bytes += s.length;
   }
-  if (through && !fill_slices_.empty()) {
-    LOR_RETURN_IF_ERROR(device_->WriteV(fill_slices_));
-    if (options_.write_back) stats_.forced_write_through += fill_slices_.size();
+  if (through && !write_slices_.empty()) {
+    LOR_RETURN_IF_ERROR(device_->WriteV(write_slices_));
+    if (options_.write_back) stats_.forced_write_through += write_slices_.size();
   }
   if (device_bytes != nullptr) *device_bytes = through_bytes;
   if (!through) LOR_RETURN_IF_ERROR(MaybeLazyFlush());
@@ -499,8 +499,7 @@ Status BufferPool::WriteStreamRun(uint64_t offset, uint64_t len,
                                   std::span<const uint8_t> data,
                                   double bandwidth_cap_bytes_per_s) {
   if (!enabled()) {
-    return device_->WriteStreamRun(offset, len, count, data,
-                                   bandwidth_cap_bytes_per_s);
+    return Status::InvalidArgument("stream run through a disabled pool");
   }
   if (len == 0 || count == 0) return Status::OK();
   if (len > device_->capacity() / count ||

@@ -173,8 +173,9 @@ class BufferPool {
   /// would — every install, eviction writeback, CPU charge and
   /// lazy-writer flush lands on the same request — while each frame
   /// after the first is found by walking from its predecessor. `data`
-  /// is empty (timing only) or exactly count*len bytes. The disabled
-  /// pool forwards to BlockDevice::WriteStreamRun.
+  /// is empty (timing only) or exactly count*len bytes. Requires an
+  /// enabled pool (callers without one use BlockDevice::WriteStreamRun);
+  /// a disabled pool refuses the call.
   Status WriteStreamRun(uint64_t offset, uint64_t len, uint64_t count,
                         std::span<const uint8_t> data,
                         double bandwidth_cap_bytes_per_s);
@@ -280,6 +281,8 @@ class BufferPool {
     Index::iterator pos;
     bool dirty = false;
     bool referenced = false;  ///< CLOCK second-chance bit.
+    /// A copy job of the pending ReadThrough batch reads this frame.
+    bool pending = false;
     uint64_t end() const { return offset + length; }
   };
 
@@ -413,9 +416,13 @@ class BufferPool {
   /// Recycled buffers by floor-log2 capacity class.
   std::vector<std::vector<std::vector<uint8_t>>> free_lists_;
   uint64_t free_list_bytes_ = 0;
-  /// Scratch for the vectored fill/flush submissions and deferred
-  /// copies — reused across calls so the hit path never allocates.
+  /// Scratch for the vectored fill/write/flush submissions and deferred
+  /// copies — reused across calls so the hit path never allocates. The
+  /// ReadThrough batch of an enabled pool (fill_slices_, copy_jobs_,
+  /// fill_frames_) is empty between calls; write-through slices never
+  /// join it.
   std::vector<IoSlice> fill_slices_;
+  std::vector<IoSlice> write_slices_;
   std::vector<IoRequest> flush_requests_;
   std::vector<uint32_t> flush_slots_;
   std::vector<CopyJob> copy_jobs_;

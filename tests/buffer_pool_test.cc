@@ -64,6 +64,10 @@ TEST(BufferPoolTest, DisabledPoolIsPassThrough) {
   EXPECT_EQ(pool.stats().hits + pool.stats().misses, 0u);
   EXPECT_EQ(dev.stats().reads, 1u);
   EXPECT_EQ(dev.stats().writes, 1u);
+  // The run-length append entry needs an enabled pool; callers without
+  // one charge the device directly.
+  EXPECT_FALSE(pool.WriteStreamRun(0, kFrame, 2, {}, 40.0e6).ok());
+  EXPECT_EQ(dev.stats().writes, 1u);
 }
 
 TEST(BufferPoolTest, MissFillsThenHitsWithoutDeviceReads) {
@@ -191,6 +195,51 @@ TEST(BufferPoolTest, WriteThroughModeWritesImmediately) {
   ASSERT_TRUE(pool.WriteThrough(w).ok());
   EXPECT_EQ(dev.stats().writes, 1u);
   EXPECT_EQ(pool.dirty_bytes(), 0u);
+}
+
+// A write-through write's device slices belong to that write alone: a
+// later all-hit read of the frame it installed must not touch the
+// device (no read, no positioning, no clock beyond the hit CPU).
+TEST(BufferPoolTest, HitAfterWriteThroughLeavesDeviceUntouched) {
+  for (const bool armed : {false, true}) {
+    SCOPED_TRACE(armed ? "armed injector" : "write_back=false");
+    BlockDevice dev(SmallDisk(8 * kMiB), DataMode::kRetain);
+    FaultInjector injector;
+    dev.AttachFaultInjector(&injector);
+    BufferPoolOptions options;
+    options.capacity_bytes = 1 * kMiB;
+    options.write_back = armed;
+    BufferPool pool(&dev, options);
+    if (armed) {
+      CrashSpec spec;
+      spec.crash_after_writes = 1000;  // Far enough to never trip here.
+      injector.Arm(spec);
+    }
+    const std::vector<uint8_t> data = Pattern(2 * kFrame, 11);
+    std::vector<CacheSlice> w = {Slice(0, kFrame, data.data(), nullptr),
+                                 Slice(kFrame, kFrame, data.data() + kFrame,
+                                       nullptr)};
+    ASSERT_TRUE(pool.WriteThrough(w).ok());
+    ASSERT_EQ(pool.dirty_bytes(), 0u);
+
+    const IoStats before = dev.stats();
+    const double t0 = dev.clock().now();
+    std::vector<uint8_t> back(2 * kFrame);
+    std::vector<CacheSlice> r = {Slice(0, 2 * kFrame, nullptr, back.data())};
+    uint64_t device_bytes = 1;
+    ASSERT_TRUE(pool.ReadThrough(r, &device_bytes).ok());
+    EXPECT_EQ(back, data);
+    EXPECT_EQ(pool.stats().hits, 1u);
+    EXPECT_EQ(device_bytes, 0u);
+    EXPECT_EQ(dev.stats().reads, before.reads);
+    EXPECT_EQ(dev.stats().bytes_read, before.bytes_read);
+    EXPECT_EQ(dev.stats().writes, before.writes);
+    const double hit_cpu =
+        options.hit_cpu_s + static_cast<double>(2 * kFrame) /
+                                options.copy_bandwidth;
+    EXPECT_NEAR(dev.clock().now() - t0, hit_cpu, 1e-12)
+        << "an all-hit read charged more than its host copy";
+  }
 }
 
 TEST(BufferPoolTest, EvictionRecyclesFrameBuffers) {
@@ -495,13 +544,17 @@ TEST(BufferPoolTest, WriteStreamRunMatchesPerRequestWritesAtOneSearch) {
 // shadow copy of what was written. Invalidate and a bare Reset discard
 // dirty bytes, so the bytes they may touch become unknown until they
 // are written again.
-TEST(BufferPoolTest, RandomChurnKeepsInvariantsAndBytes) {
+// Seeded churn over every pool entry point on a small two-domain pool:
+// CheckConsistency after every op, kRetain bytes against a shadow copy,
+// and an all-hit read never reaches the device.
+void RunChurn(bool write_back) {
   constexpr uint64_t kDevice = 4 * kMiB;
   constexpr uint64_t kMaxLen = 96 * kKiB;
   BlockDevice dev(SmallDisk(kDevice), DataMode::kRetain);
   BufferPoolOptions options;
   options.capacity_bytes = 768 * kKiB;
   options.shards = 2;
+  options.write_back = write_back;
   BufferPool pool(&dev, options);
 
   std::vector<uint8_t> shadow(kDevice, 0);
@@ -567,7 +620,13 @@ TEST(BufferPoolTest, RandomChurnKeepsInvariantsAndBytes) {
         sl.fill_length =
             std::min(kDevice, sl.offset + sl.length + after) - sl.fill_offset;
       }
-      ASSERT_TRUE(pool.ReadThrough(slices).ok()) << "op " << op;
+      const uint64_t reads_before = dev.stats().reads;
+      uint64_t device_bytes = 0;
+      ASSERT_TRUE(pool.ReadThrough(slices, &device_bytes).ok()) << "op " << op;
+      if (device_bytes == 0) {
+        EXPECT_EQ(dev.stats().reads, reads_before)
+            << "op " << op << ": all-hit read reached the device";
+      }
       for (size_t i = 0; i < ranges.size(); ++i) {
         expect_bytes(ranges[i].first, outs[i], op);
       }
@@ -627,13 +686,24 @@ TEST(BufferPoolTest, RandomChurnKeepsInvariantsAndBytes) {
   }
   EXPECT_GT(pool.stats().evictions, 0u);
   EXPECT_GT(pool.stats().hits, 0u);
-  EXPECT_GT(pool.stats().writebacks, 0u);
+  if (write_back) {
+    EXPECT_GT(pool.stats().writebacks, 0u);
+  } else {
+    EXPECT_EQ(pool.stats().writebacks, 0u);
+    EXPECT_EQ(pool.dirty_bytes(), 0u);
+  }
   ASSERT_TRUE(pool.FlushAll().ok());
   uint64_t pos = 0;
   dev.ReadView(0, kDevice, [&](std::span<const uint8_t> chunk) {
     expect_bytes(pos, chunk, 4000);
     pos += chunk.size();
   });
+}
+
+TEST(BufferPoolTest, RandomChurnKeepsInvariantsAndBytes) { RunChurn(true); }
+
+TEST(BufferPoolTest, RandomChurnInWriteThroughModeKeepsInvariantsAndBytes) {
+  RunChurn(false);
 }
 
 }  // namespace

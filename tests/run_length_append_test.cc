@@ -444,7 +444,9 @@ TEST_P(RunLengthAppendTest, RunPathMatchesPerRequestPathBitForBit) {
       // The pool saw real traffic: appends parked, frames evicted.
       EXPECT_GT(run.store.cache.write_installs, 0u);
       EXPECT_GT(run.store.cache.evictions, 0u);
-      if (s.crash) EXPECT_GT(run.store.cache.forced_write_through, 0u);
+      if (s.crash) {
+        EXPECT_GT(run.store.cache.forced_write_through, 0u);
+      }
     }
   }
 }
