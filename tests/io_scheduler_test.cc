@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "core/db_repository.h"
@@ -410,6 +412,136 @@ TEST(IoSchedulerTest, DeterministicAcrossRuns) {
   }
   EXPECT_DOUBLE_EQ(a.histogram(OpClass::kGet).sum(),
                    b.histogram(OpClass::kGet).sum());
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+struct GoldenDedicated {
+  uint64_t clock_bits = 0;
+  uint64_t serviced = 0;
+  uint64_t completed = 0;
+  uint64_t seeks = 0;
+  uint64_t queue_wait_bits = 0;
+  uint64_t get_sum_bits = 0;
+  uint64_t write_sum_bits = 0;
+  uint64_t done_bits = 0;
+  int done_fired = 0;
+};
+
+/// A dedicated scheduler engaged at depth 8 servicing 48 scripted ops
+/// whose chains mix every entry kind. Op 20 carries a SubmitV batch with
+/// a completion, followed by more requests in the same chain.
+GoldenDedicated RunGoldenDedicated(SchedPolicy policy) {
+  constexpr double kCap = 80e6;
+  BlockDevice dev(SmallDisk());
+  LatencyRecorder rec;
+  IoScheduler sched(&dev, &rec);
+  dev.AttachScheduler(&sched);
+  EXPECT_TRUE(sched.Engage(8, policy).ok());
+  GoldenDedicated g;
+  for (uint64_t i = 0; i < 48; ++i) {
+    const uint64_t at = (i * 2654435761ull % 4000) * 256 * kKiB;
+    if (i == 20) {
+      OpScope scope(&sched, OpClass::kSafeWrite);
+      EXPECT_TRUE(dev.Write(at, 32 * kKiB).ok());
+      IoRequest batch[2];
+      for (uint64_t k = 0; k < 2; ++k) {
+        batch[k].write = true;
+        batch[k].offset = at + 64 * kKiB * (k + 1);
+        batch[k].length = 64 * kKiB;
+      }
+      EXPECT_TRUE(dev.SubmitV(batch, [&](double t, const Status& s) {
+                       EXPECT_TRUE(s.ok());
+                       ++g.done_fired;
+                       g.done_bits = Bits(t);
+                     }).ok());
+      dev.Flush();
+      EXPECT_TRUE(
+          dev.Write((at + 300 * kMiB) % (kGiB - kMiB), 16 * kKiB).ok());
+      continue;
+    }
+    switch (i % 4) {
+      case 0: {
+        OpScope scope(&sched, OpClass::kPut);
+        EXPECT_TRUE(dev.WriteStreamRun(at, 64 * kKiB, 3, {}, kCap).ok());
+        dev.Flush();
+        break;
+      }
+      case 1: {
+        OpScope scope(&sched, OpClass::kGet);
+        const IoSlice slices[] = {{at, 32 * kKiB, nullptr, nullptr},
+                                  {at + 3 * kMiB, 16 * kKiB, nullptr, nullptr}};
+        EXPECT_TRUE(dev.ReadV(slices).ok());
+        break;
+      }
+      case 2: {
+        OpScope scope(&sched, OpClass::kSafeWrite);
+        dev.ChargeCpu(0.0003);
+        EXPECT_TRUE(dev.Write(at, 16 * kKiB).ok());
+        dev.Flush();
+        break;
+      }
+      default: {
+        OpScope scope(&sched, OpClass::kGet);
+        dev.BeginStreamWindow();
+        EXPECT_TRUE(dev.Read(at, 128 * kKiB).ok());
+        dev.EndStreamWindow(128 * kKiB, kCap);
+        break;
+      }
+    }
+  }
+  EXPECT_TRUE(sched.Disengage().ok());
+  g.clock_bits = Bits(dev.clock().now());
+  g.serviced = sched.serviced_requests();
+  g.completed = sched.completed_ops();
+  g.seeks = dev.stats().seeks;
+  g.queue_wait_bits = Bits(dev.stats().queue_wait_s);
+  g.get_sum_bits = Bits(rec.histogram(OpClass::kGet).sum());
+  g.write_sum_bits = Bits(rec.writes().sum());
+  return g;
+}
+
+void ExpectGolden(const GoldenDedicated& got, const GoldenDedicated& want) {
+  EXPECT_EQ(got.clock_bits, want.clock_bits);
+  EXPECT_EQ(got.serviced, want.serviced);
+  EXPECT_EQ(got.completed, want.completed);
+  EXPECT_EQ(got.seeks, want.seeks);
+  EXPECT_EQ(got.queue_wait_bits, want.queue_wait_bits);
+  EXPECT_EQ(got.get_sum_bits, want.get_sum_bits);
+  EXPECT_EQ(got.write_sum_bits, want.write_sum_bits);
+  EXPECT_EQ(got.done_bits, want.done_bits);
+  EXPECT_EQ(got.done_fired, want.done_fired);
+}
+
+TEST(IoSchedulerGoldenTest, DedicatedQd8ServiceIsPinned) {
+  // Exact values, not run-vs-run equality: a change to how chains are
+  // stored or consumed that reorders service (or any float addition)
+  // fails here even though it stays deterministic.
+  GoldenDedicated sptf;
+  sptf.clock_bits = 4604772806427519422ull;
+  sptf.serviced = 109;
+  sptf.completed = 48;
+  sptf.seeks = 62;
+  sptf.get_sum_bits = 4613964831182045496ull;
+  sptf.write_sum_bits = 4612442579405496288ull;
+  sptf.done_bits = 4597739478284796612ull;
+  sptf.done_fired = 1;
+  ExpectGolden(RunGoldenDedicated(SchedPolicy::kSptf), sptf);
+
+  GoldenDedicated fifo;
+  fifo.clock_bits = 4605027678431094618ull;
+  fifo.serviced = 109;
+  fifo.completed = 48;
+  fifo.seeks = 62;
+  fifo.get_sum_bits = 4613685141920887638ull;
+  fifo.write_sum_bits = 4613522997676757418ull;
+  fifo.done_bits = 4599642428682425217ull;
+  fifo.done_fired = 1;
+  ExpectGolden(RunGoldenDedicated(SchedPolicy::kFifo), fifo);
 }
 
 // ---------------------------------------------------------------------

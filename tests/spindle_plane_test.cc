@@ -23,6 +23,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <random>
@@ -219,6 +220,228 @@ TEST(SpindlePlaneSptfFairnessTest, AdversarialInterleaveBoundedRounds) {
   EXPECT_GT(run.view_stats[0].interference_seeks +
                 run.view_stats[1].interference_seeks,
             0u);
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+/// One scripted op of the golden workload, issued through `view` (whose
+/// scheduler is ported) inside an op scope. Chains mix every entry kind:
+/// stream windows, writes, reads, flushes and CPU charges.
+void ScriptedOp(BlockDevice* view, IoScheduler* sched, uint32_t owner,
+                uint32_t i) {
+  constexpr double kCap = 80e6;
+  const uint64_t span = kRegion - 256 * kKiB;
+  const uint64_t at = ScatteredOffset(owner, i) % span;
+  switch (i % 4) {
+    case 0: {
+      OpScope scope(sched, OpClass::kPut);
+      ASSERT_TRUE(view->WriteStreamRun(at, 64 * kKiB, 3, {}, kCap).ok());
+      view->Flush();
+      break;
+    }
+    case 1: {
+      OpScope scope(sched, OpClass::kGet);
+      const IoSlice slices[] = {{at, 32 * kKiB, nullptr, nullptr},
+                                {(at + 3 * kMiB) % span, 16 * kKiB,
+                                 nullptr, nullptr}};
+      ASSERT_TRUE(view->ReadV(slices).ok());
+      break;
+    }
+    case 2: {
+      OpScope scope(sched, OpClass::kSafeWrite);
+      view->ChargeCpu(0.0003);
+      ASSERT_TRUE(view->Write(at, 16 * kKiB).ok());
+      view->Flush();
+      break;
+    }
+    default: {
+      OpScope scope(sched, OpClass::kGet);
+      view->BeginStreamWindow();
+      ASSERT_TRUE(view->Read(at, 128 * kKiB).ok());
+      view->EndStreamWindow(128 * kKiB, kCap);
+      break;
+    }
+  }
+}
+
+struct GoldenPlane {
+  uint64_t service_hash = 0;
+  uint64_t hub_clock_bits = 0;
+  uint64_t serviced[2] = {0, 0};
+  uint64_t seeks[2] = {0, 0};
+  uint64_t interference_seeks[2] = {0, 0};
+  uint64_t queue_wait_bits[2] = {0, 0};
+};
+
+/// Two owners at queue depth 8 on one spindle, six batches each of the
+/// scripted ops, concurrently submitted.
+GoldenPlane RunGoldenPlane(SchedPolicy policy) {
+  constexpr uint32_t kOwners = 2;
+  constexpr uint32_t kDepth = 8;
+  constexpr uint32_t kOps = 6 * kDepth;
+  SpindlePlane::Params params;
+  params.region_bytes = kRegion;
+  params.owners = kOwners;
+  params.policy = policy;
+  params.seed = 11;
+  SpindlePlane plane(params);
+  std::vector<std::unique_ptr<BlockDevice>> views;
+  std::vector<std::unique_ptr<IoScheduler>> scheds;
+  for (uint32_t o = 0; o < kOwners; ++o) {
+    views.push_back(plane.CreateOwnerDevice(o));
+    scheds.push_back(std::make_unique<IoScheduler>(views[o].get(), nullptr));
+    views[o]->AttachScheduler(scheds[o].get());
+    scheds[o]->AttachSpindle(&plane, o);
+  }
+  std::vector<std::thread> threads;
+  for (uint32_t o = 0; o < kOwners; ++o) {
+    threads.emplace_back([&, o] {
+      ASSERT_TRUE(scheds[o]->Engage(kDepth, policy).ok());
+      for (uint32_t i = 0; i < kOps; ++i) {
+        ScriptedOp(views[o].get(), scheds[o].get(), o, i);
+      }
+      scheds[o]->Settle();
+      scheds[o]->SettlePhase();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  GoldenPlane g;
+  g.service_hash = plane.service_hash();
+  g.hub_clock_bits = Bits(plane.hub()->clock().now());
+  for (uint32_t o = 0; o < kOwners; ++o) {
+    g.serviced[o] = scheds[o]->serviced_requests();
+    g.seeks[o] = views[o]->stats().seeks;
+    g.interference_seeks[o] = views[o]->stats().interference_seeks;
+    g.queue_wait_bits[o] = Bits(views[o]->stats().queue_wait_s);
+  }
+  scheds.clear();
+  views.clear();
+  return g;
+}
+
+void ExpectGolden(const GoldenPlane& got, const GoldenPlane& want) {
+  EXPECT_EQ(got.service_hash, want.service_hash);
+  EXPECT_EQ(got.hub_clock_bits, want.hub_clock_bits);
+  for (int o = 0; o < 2; ++o) {
+    EXPECT_EQ(got.serviced[o], want.serviced[o]) << "owner " << o;
+    EXPECT_EQ(got.seeks[o], want.seeks[o]) << "owner " << o;
+    EXPECT_EQ(got.interference_seeks[o], want.interference_seeks[o])
+        << "owner " << o;
+    EXPECT_EQ(got.queue_wait_bits[o], want.queue_wait_bits[o])
+        << "owner " << o;
+  }
+}
+
+TEST(SpindlePlaneGoldenTest, TwoOwnerQd8ServiceIsPinned) {
+  // Exact values, not run-vs-run equality: a change to how chains are
+  // stored or rounds are built that reorders service (or any float
+  // addition) fails here even though it stays deterministic.
+  const GoldenPlane sptf = {14830759846693721873ull,
+                            4610294166418060038ull,
+                            {108, 108},
+                            {60, 60},
+                            {5, 6},
+                            {4622510038731532779ull, 4622882796258487672ull}};
+  ExpectGolden(RunGoldenPlane(SchedPolicy::kSptf), sptf);
+
+  const GoldenPlane fifo = {2921819590198512229ull,
+                            4610905388849225947ull,
+                            {108, 108},
+                            {60, 60},
+                            {23, 23},
+                            {4623379206902257657ull, 4623179320919022960ull}};
+  ExpectGolden(RunGoldenPlane(SchedPolicy::kFifo), fifo);
+}
+
+TEST(SpindlePlaneCompletionTest, SubmitVCompletionFiresOnceInChainOrder) {
+  // Owner 0's first op carries two completions: one on a Submit, one on
+  // a SubmitV batch, followed by one more write. Each must fire once, on
+  // the servicing thread, right after its own request was serviced —
+  // before the next request of the chain — and in chain order.
+  SpindlePlane::Params params;
+  params.region_bytes = kRegion;
+  params.owners = 2;
+  params.policy = SchedPolicy::kSptf;
+  params.seed = 3;
+  SpindlePlane plane(params);
+  std::vector<std::unique_ptr<BlockDevice>> views;
+  std::vector<std::unique_ptr<IoScheduler>> scheds;
+  for (uint32_t o = 0; o < 2; ++o) {
+    views.push_back(plane.CreateOwnerDevice(o));
+    scheds.push_back(std::make_unique<IoScheduler>(views[o].get(), nullptr));
+    views[o]->AttachScheduler(scheds[o].get());
+    scheds[o]->AttachSpindle(&plane, o);
+  }
+  BlockDevice* view0 = views[0].get();
+  // Requests of owner 0 serviced so far: each charges exactly one of
+  // {seek, sequential hit} on its view at service time.
+  auto serviced0 = [view0] {
+    return view0->stats().seeks + view0->stats().sequential_hits;
+  };
+  std::vector<int> order;
+  std::vector<uint64_t> serviced_at;
+  std::vector<double> fired_at;
+  std::vector<double> clock_at;
+  std::vector<std::thread> threads;
+  for (uint32_t o = 0; o < 2; ++o) {
+    threads.emplace_back([&, o] {
+      ASSERT_TRUE(scheds[o]->Engage(8, SchedPolicy::kSptf).ok());
+      for (uint32_t i = 0; i < 16; ++i) {
+        OpScope scope(scheds[o].get(), OpClass::kPut);
+        const uint64_t at = ScatteredOffset(o, i) % (kRegion - kMiB);
+        if (o != 0 || i != 0) {
+          ASSERT_TRUE(views[o]->Write(at, 64 * kKiB).ok());
+          continue;
+        }
+        auto note = [&](int which) {
+          return [&, which](double t, const Status& s) {
+            EXPECT_TRUE(s.ok());
+            order.push_back(which);
+            serviced_at.push_back(serviced0());
+            fired_at.push_back(t);
+            clock_at.push_back(plane.hub()->clock().now());
+          };
+        };
+        IoRequest first;
+        first.write = true;
+        first.offset = at;
+        first.length = 64 * kKiB;
+        ASSERT_TRUE(view0->Submit(first, note(1)).ok());
+        IoRequest batch[2];
+        for (int k = 0; k < 2; ++k) {
+          batch[k].write = true;
+          batch[k].offset = at + 512 * kKiB + k * 64 * kKiB;
+          batch[k].length = 64 * kKiB;
+        }
+        ASSERT_TRUE(view0->SubmitV(batch, note(2)).ok());
+        ASSERT_TRUE(view0->Write((at + 2 * kMiB) % (kRegion - kMiB), 64 * kKiB)
+                        .ok());
+        // Queued, not yet serviced: nothing fires at submission.
+        EXPECT_TRUE(order.empty());
+      }
+      scheds[o]->Settle();
+      scheds[o]->SettlePhase();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0], 1);
+  EXPECT_EQ(order[1], 2);
+  // Submit's request is the chain's first; the SubmitV callback rides
+  // on its last run, the chain's third. The fourth follows both.
+  EXPECT_EQ(serviced_at[0], 1u);
+  EXPECT_EQ(serviced_at[1], 3u);
+  EXPECT_EQ(fired_at[0], clock_at[0]);
+  EXPECT_EQ(fired_at[1], clock_at[1]);
+  EXPECT_LT(fired_at[0], fired_at[1]);
+  EXPECT_EQ(scheds[0]->serviced_requests(), 4u + 15u);
+  EXPECT_GT(plane.hub()->clock().now(), fired_at[1]);
+  scheds.clear();
+  views.clear();
 }
 
 }  // namespace
