@@ -300,7 +300,7 @@ Status BlockDevice::Write(uint64_t offset, uint64_t len,
   NoteMediaWrite(offset, len);
   const uint64_t tag = NoteWriteSubmission(offset, len);
   if (AsyncActive()) {
-    scheduler_->EnqueueRequest(/*write=*/true, offset, len, nullptr, tag);
+    scheduler_->EnqueueRequest(/*write=*/true, offset, len, tag);
   } else {
     ChargePositioning(offset, len);
     NoteWriteServiced(tag);
@@ -324,7 +324,7 @@ Status BlockDevice::Read(uint64_t offset, uint64_t len,
   // moves — nothing is charged or queued, the caller owns retry cost.
   if (out != nullptr) LOR_RETURN_IF_ERROR(CheckMediaRead(offset, len));
   if (AsyncActive()) {
-    scheduler_->EnqueueRequest(/*write=*/false, offset, len, nullptr);
+    scheduler_->EnqueueRequest(/*write=*/false, offset, len);
   } else {
     ChargePositioning(offset, len);
   }
@@ -355,7 +355,7 @@ Status BlockDevice::ReadV(std::span<const IoSlice> slices) {
   for (const IoSlice& s : slices) {
     if (s.length == 0) continue;
     if (AsyncActive()) {
-      scheduler_->EnqueueRequest(/*write=*/false, s.offset, s.length, nullptr);
+      scheduler_->EnqueueRequest(/*write=*/false, s.offset, s.length);
     } else {
       ChargePositioning(s.offset, s.length);
     }
@@ -379,8 +379,7 @@ Status BlockDevice::WriteV(std::span<const IoSlice> slices) {
     NoteMediaWrite(s.offset, s.length);
     const uint64_t tag = NoteWriteSubmission(s.offset, s.length);
     if (AsyncActive()) {
-      scheduler_->EnqueueRequest(/*write=*/true, s.offset, s.length, nullptr,
-                                 tag);
+      scheduler_->EnqueueRequest(/*write=*/true, s.offset, s.length, tag);
     } else {
       ChargePositioning(s.offset, s.length);
       NoteWriteServiced(tag);
@@ -415,8 +414,8 @@ Status BlockDevice::Submit(const IoRequest& req, IoCompletion done) {
   const uint64_t tag =
       req.write ? NoteWriteSubmission(req.offset, req.length) : 0;
   if (async) {
-    scheduler_->EnqueueRequest(req.write, req.offset, req.length,
-                               std::move(done), tag);
+    scheduler_->EnqueueRequest(req.write, req.offset, req.length, tag);
+    if (done) scheduler_->AttachCompletion(std::move(done));
   } else {
     ChargePositioning(req.offset, req.length);
     NoteWriteServiced(tag);
@@ -471,9 +470,8 @@ Status BlockDevice::SubmitV(std::span<const IoRequest> reqs,
     const uint64_t tag =
         r.write ? NoteWriteSubmission(r.offset, r.length) : 0;
     if (async) {
-      scheduler_->EnqueueRequest(
-          r.write, r.offset, r.length,
-          i == last_nonzero ? std::move(done) : IoCompletion(), tag);
+      scheduler_->EnqueueRequest(r.write, r.offset, r.length, tag);
+      if (i == last_nonzero) scheduler_->AttachCompletion(std::move(done));
     } else {
       ChargePositioning(r.offset, r.length);
       NoteWriteServiced(tag);
@@ -560,7 +558,7 @@ Status BlockDevice::WriteStreamRun(uint64_t offset, uint64_t len,
     NoteMediaWrite(offset, len);
     const uint64_t tag = NoteWriteSubmission(offset, len);
     if (async) {
-      scheduler_->EnqueueRequest(/*write=*/true, offset, len, nullptr, tag);
+      scheduler_->EnqueueRequest(/*write=*/true, offset, len, tag);
     } else {
       clk.Advance(ServiceRequest(/*write=*/true, offset, len, &memo));
       NoteWriteServiced(tag);

@@ -12,6 +12,25 @@
 namespace lor {
 namespace sim {
 
+void IoScheduler::Op::Reset(OpClass new_cls, double at) {
+  cls = new_cls;
+  arrival = at;
+  ready = at;
+  busy = 0.0;
+  window_base = 0.0;
+  head = 0;
+  next_done = 0;
+  chain.clear();
+  completions.clear();
+}
+
+void IoScheduler::Op::FireCompletions(uint32_t index, double completion_s) {
+  while (next_done < completions.size() &&
+         completions[next_done].at == index) {
+    completions[next_done++].done(completion_s, Status::OK());
+  }
+}
+
 IoScheduler::IoScheduler(BlockDevice* device, LatencyRecorder* recorder)
     : device_(device), recorder_(recorder) {}
 
@@ -20,7 +39,10 @@ IoScheduler::~IoScheduler() {
     // Retirement delivers any leftover ops and excludes this owner from
     // future rounds; the plane services stragglers in its endgame once
     // every owner has retired (repositories are destroyed serially).
-    if (op_depth_ == 0) plane_->Retire(port_owner_, std::move(batch_));
+    if (op_depth_ == 0) {
+      batch_.resize(batch_fill_);
+      plane_->Retire(port_owner_, std::move(batch_));
+    }
     return;
   }
   // Never leave queued work uncharged: a scheduler destroyed mid-flight
@@ -89,9 +111,10 @@ double IoScheduler::Now() const {
 }
 
 void IoScheduler::DeliverBatch() {
-  if (batch_.empty()) return;
-  plane_->Deliver(port_owner_, std::move(batch_));
-  batch_.clear();
+  if (batch_fill_ == 0) return;
+  batch_.resize(batch_fill_);
+  batch_fill_ = 0;
+  plane_->Deliver(port_owner_, &batch_);
 }
 
 void IoScheduler::Settle() {
@@ -145,7 +168,7 @@ void IoScheduler::Abandon() {
 
 uint32_t IoScheduler::inflight_ops() const {
   if (plane_ != nullptr) {
-    return static_cast<uint32_t>(batch_.size()) + (building_open_ ? 1u : 0u);
+    return static_cast<uint32_t>(batch_fill_) + (building_open_ ? 1u : 0u);
   }
   const uint32_t queued =
       static_cast<uint32_t>(pending_.size()) + (building_open_ ? 1u : 0u);
@@ -158,8 +181,7 @@ void IoScheduler::BeginOp(OpClass cls) {
     // Port mode: just open the chain. Admission (closed-loop arrival
     // assignment) happens on the plane when the op's batch joins a
     // service round.
-    building_ = Op{};
-    building_.cls = cls;
+    building_.Reset(cls, 0.0);
     building_open_ = true;
     return;
   }
@@ -183,10 +205,7 @@ void IoScheduler::BeginOp(OpClass cls) {
       free_slots_.pop();
     }
   }
-  building_ = Op{};
-  building_.cls = cls;
-  building_.arrival = arrival;
-  building_.ready = arrival;
+  building_.Reset(cls, arrival);
   building_open_ = true;
 }
 
@@ -195,9 +214,13 @@ void IoScheduler::EndOp() {
   if (--op_depth_ > 0) return;
   if (plane_ != nullptr) {
     building_open_ = false;
-    batch_.push_back(std::move(building_));
-    building_ = Op{};
-    if (batch_.size() >= queue_depth_) DeliverBatch();
+    // Swapping with a spent entry hands its chain capacity to the next op.
+    if (batch_fill_ < batch_.size()) {
+      std::swap(batch_[batch_fill_], building_);
+    } else {
+      batch_.push_back(std::move(building_));
+    }
+    if (++batch_fill_ >= queue_depth_) DeliverBatch();
     return;
   }
   if (!engaged_) {
@@ -213,66 +236,54 @@ void IoScheduler::SealCurrentOp() {
   if (!building_open_) return;
   building_open_ = false;
   SettleFront(&building_);
-  if (building_.chain.empty()) {
+  if (building_.drained()) {
     CompleteOp(building_);
     return;
   }
   pending_.push_back(std::move(building_));
-  building_ = Op{};
+}
+
+IoScheduler::Request& IoScheduler::Push(Request::Kind kind) {
+  assert(building_open_ && "device charge outside an op scope");
+  Request& r = building_.chain.emplace_back();
+  r.kind = kind;
+  r.seq = next_seq_++;
+  return r;
 }
 
 void IoScheduler::EnqueueRequest(bool write, uint64_t offset, uint64_t len,
-                                 IoCompletion done, uint64_t tag) {
-  assert(building_open_ && "device charge outside an op scope");
-  Request r;
-  r.kind = Request::Kind::kIo;
+                                 uint64_t tag) {
+  Request& r = Push(Request::Kind::kIo);
   r.write = write;
   r.offset = offset;
   r.len = len;
-  r.seq = next_seq_++;
   r.tag = tag;
-  r.done = std::move(done);
-  building_.chain.push_back(std::move(r));
 }
 
-void IoScheduler::EnqueueFlush() {
-  assert(building_open_ && "device charge outside an op scope");
-  Request r;
-  r.kind = Request::Kind::kFlush;
-  r.seq = next_seq_++;
-  building_.chain.push_back(std::move(r));
+void IoScheduler::AttachCompletion(IoCompletion done) {
+  assert(building_open_ && !building_.chain.empty() &&
+         "completion without a request to ride on");
+  building_.completions.push_back(
+      {static_cast<uint32_t>(building_.chain.size() - 1), std::move(done)});
 }
+
+void IoScheduler::EnqueueFlush() { Push(Request::Kind::kFlush); }
 
 void IoScheduler::EnqueueCpu(double seconds) {
-  assert(building_open_ && "device charge outside an op scope");
-  Request r;
-  r.kind = Request::Kind::kCpu;
-  r.cpu_s = seconds;
-  r.seq = next_seq_++;
-  building_.chain.push_back(std::move(r));
+  Push(Request::Kind::kCpu).cpu_s = seconds;
 }
 
-void IoScheduler::EnqueueWindowBegin() {
-  assert(building_open_ && "device charge outside an op scope");
-  Request r;
-  r.kind = Request::Kind::kWinBegin;
-  r.seq = next_seq_++;
-  building_.chain.push_back(std::move(r));
-}
+void IoScheduler::EnqueueWindowBegin() { Push(Request::Kind::kWinBegin); }
 
 void IoScheduler::EnqueueWindowEnd(uint64_t len, double bandwidth_cap) {
-  assert(building_open_ && "device charge outside an op scope");
-  Request r;
-  r.kind = Request::Kind::kWinEnd;
+  Request& r = Push(Request::Kind::kWinEnd);
   r.len = len;
   r.cap = bandwidth_cap;
-  r.seq = next_seq_++;
-  building_.chain.push_back(std::move(r));
 }
 
 void IoScheduler::SettleFront(Op* op) {
-  while (!op->chain.empty()) {
-    Request& front = op->chain.front();
+  while (!op->drained()) {
+    const Request& front = op->chain[op->head];
     switch (front.kind) {
       case Request::Kind::kCpu:
         op->ready += front.cpu_s;
@@ -298,7 +309,7 @@ void IoScheduler::SettleFront(Op* op) {
       case Request::Kind::kFlush:
         return;  // Device work: left for ServiceOne.
     }
-    op->chain.pop_front();
+    ++op->head;
   }
 }
 
@@ -315,7 +326,7 @@ bool IoScheduler::ServiceOne() {
   // Reap ops whose chains are already settled empty (pure-CPU ops).
   for (auto it = pending_.begin(); it != pending_.end();) {
     SettleFront(&*it);
-    if (it->chain.empty()) {
+    if (it->drained()) {
       CompleteOp(*it);
       it = pending_.erase(it);
     } else {
@@ -336,7 +347,7 @@ bool IoScheduler::ServiceOne() {
   uint64_t pick_seq = std::numeric_limits<uint64_t>::max();
   for (auto it = pending_.begin(); it != pending_.end(); ++it) {
     if (it->ready > dispatch) continue;
-    const Request& front = it->chain.front();
+    const Request& front = it->chain[it->head];
     double cost = 0.0;
     if (policy_ == SchedPolicy::kSptf &&
         front.kind == Request::Kind::kIo) {
@@ -355,8 +366,8 @@ bool IoScheduler::ServiceOne() {
   }
   assert(pick != pending_.end());
 
-  Request front = std::move(pick->chain.front());
-  pick->chain.pop_front();
+  const uint32_t index = pick->head++;
+  const Request front = pick->chain[index];
   const double start = std::max(device_free_, pick->ready);
   const double service =
       front.kind == Request::Kind::kFlush
@@ -368,10 +379,10 @@ bool IoScheduler::ServiceOne() {
   pick->busy += service;
   ++serviced_requests_;
   if (front.tag != 0) device_->NoteWriteServiced(front.tag);
-  if (front.done) front.done(completion, Status::OK());
+  pick->FireCompletions(index, completion);
 
   SettleFront(&*pick);
-  if (pick->chain.empty()) {
+  if (pick->drained()) {
     CompleteOp(*pick);
     pending_.erase(pick);
   }

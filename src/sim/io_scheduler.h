@@ -33,6 +33,16 @@
 // only the *timing* is deferred. Scratch buffers reused across
 // in-flight ops therefore behave as they do synchronously.
 //
+// Chain storage: an op's chain is one flat vector of small, trivially
+// copyable Request entries, consumed through a head index on the
+// dedicated path and walked in place on the plane. Completion callbacks
+// live apart from the chain, in a per-op side list of (chain index,
+// callback), and fire right after their request is serviced, in chain
+// order, on both paths. Handing an op on (seal, batch, plane round)
+// therefore moves pointers and never copies a chain. In port mode the
+// plane hands serviced ops back to their owner, whose next ops reuse
+// their chains' capacity.
+//
 // Determinism: everything is integer/double arithmetic over the same
 // submission sequence — no host time, no randomness — so a given
 // (workload, queue depth, policy) triple always produces the same
@@ -60,10 +70,10 @@
 #define LOREPO_SIM_IO_SCHEDULER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "sim/latency_recorder.h"
@@ -170,7 +180,10 @@ class IoScheduler {
   /// `tag` is the FaultInjector completion tag (0 = untracked); it is
   /// reported back to the device when the request is serviced.
   void EnqueueRequest(bool write, uint64_t offset, uint64_t len,
-                      IoCompletion done, uint64_t tag = 0);
+                      uint64_t tag = 0);
+  /// Attaches `done` to the request enqueued last: it fires with that
+  /// request's serviced time, in chain order.
+  void AttachCompletion(IoCompletion done);
   void EnqueueFlush();
   void EnqueueCpu(double seconds);
   void EnqueueWindowBegin();
@@ -185,27 +198,49 @@ class IoScheduler {
 
   // -- Wire types (shared with SpindlePlane) ---------------------------
 
+  /// One chain entry. Small and trivially copyable, so a chain is one
+  /// flat allocation and handing it on moves a pointer.
   struct Request {
     enum class Kind : uint8_t { kIo, kFlush, kCpu, kWinBegin, kWinEnd };
     Kind kind = Kind::kIo;
     bool write = false;
     uint64_t offset = 0;
     uint64_t len = 0;
-    double cpu_s = 0.0;   // kCpu
-    double cap = 0.0;     // kWinEnd: bandwidth cap (bytes/s)
+    union {
+      double cpu_s = 0.0;  // kCpu
+      double cap;          // kWinEnd: bandwidth cap (bytes/s)
+    };
     uint64_t seq = 0;     // global submission order (FIFO + tie-break)
     uint64_t tag = 0;     // fault-injector tag (0 = untracked)
-    IoCompletion done;    // fires at service completion
   };
 
-  /// One in-flight operation and its request chain.
+  /// A completion callback and the chain index of the request it rides
+  /// on; it fires right after that request is serviced.
+  struct Completion {
+    uint32_t at = 0;
+    IoCompletion done;
+  };
+
+  /// One in-flight operation: its request chain, consumed in order, and
+  /// the completions riding on it, sorted by chain index. Most chains
+  /// carry none, so requests stay callback-free.
   struct Op {
     OpClass cls = OpClass::kControl;
     double arrival = 0.0;      // slot reuse time (closed loop)
     double ready = 0.0;        // completion time of the serviced prefix
     double busy = 0.0;         // serviced seconds (device + cpu + penalties)
     double window_base = 0.0;  // `busy` at the open stream window's start
-    std::deque<Request> chain;
+    uint32_t head = 0;         // dedicated path: first unserviced entry
+    uint32_t next_done = 0;    // first unfired completion
+    std::vector<Request> chain;
+    std::vector<Completion> completions;
+
+    /// Reopens this op for class `new_cls` arriving at `at`, keeping
+    /// the chain's capacity.
+    void Reset(OpClass new_cls, double at);
+    bool drained() const { return head == chain.size(); }
+    /// Fires the completions riding on chain entry `index`.
+    void FireCompletions(uint32_t index, double completion_s);
   };
 
  private:
@@ -229,6 +264,9 @@ class IoScheduler {
   /// Seals the op being built and moves it to the pending list (or
   /// completes it outright when its chain is already empty).
   void SealCurrentOp();
+
+  /// Appends a chain entry of `kind` to the op being built.
+  Request& Push(Request::Kind kind);
 
   BlockDevice* device_;
   LatencyRecorder* recorder_;
@@ -259,8 +297,19 @@ class IoScheduler {
   // Port-mode state.
   SpindlePlane* plane_ = nullptr;
   uint32_t port_owner_ = 0;
-  std::vector<Op> batch_;  // sealed ops awaiting delivery to the plane
+  /// Sealed ops awaiting delivery to the plane: the first `batch_fill_`
+  /// entries. Entries past it are spent ops handed back by the plane,
+  /// reused so chains keep their capacity.
+  std::vector<Op> batch_;
+  size_t batch_fill_ = 0;
 };
+
+static_assert(std::is_nothrow_move_constructible_v<IoScheduler::Op>,
+              "an op must move by pointer, never by deep copy");
+static_assert(std::is_trivially_copyable_v<IoScheduler::Request>,
+              "chain entries must stay flat: no owning members");
+static_assert(sizeof(IoScheduler::Request) <= 48,
+              "chain entries are the queued path's working set");
 
 /// RAII op-boundary marker for repository operations. Constructing with
 /// a null scheduler is a no-op, so wrapper back ends without a pipeline

@@ -17,6 +17,9 @@ constexpr uint64_t kFnvPrime = 1099511628211ull;
 /// Batches an owner may have queued before Deliver blocks (and drives
 /// service itself). Bounds memory and keeps owners loosely in step.
 constexpr size_t kBackpressureWindow = 64;
+/// Serviced batches kept per owner for Deliver to hand back. Each
+/// Deliver takes one and each round returns one, so a couple suffice.
+constexpr size_t kSpentBatches = 2;
 
 uint64_t SplitMix64(uint64_t x) {
   x += kGolden;
@@ -94,15 +97,21 @@ uint64_t SpindlePlane::service_hash() const {
   return service_hash_;
 }
 
-void SpindlePlane::Deliver(uint32_t owner, std::vector<IoScheduler::Op> ops) {
-  if (ops.empty()) return;
+void SpindlePlane::Deliver(uint32_t owner,
+                           std::vector<IoScheduler::Op>* batch) {
+  if (batch->empty()) return;
   std::unique_lock<std::mutex> lk(mu_);
   EnsureInitLocked();
   OwnerState& st = states_[owner];
   WaitLocked(lk, [&] { return st.queue.size() < kBackpressureWindow; });
   Item item;
-  item.ops = std::move(ops);
+  item.ops = std::move(*batch);
   st.queue.push_back(std::move(item));
+  batch->clear();
+  if (!st.spent.empty()) {
+    std::swap(*batch, st.spent.back());
+    st.spent.pop_back();
+  }
   cv_.notify_all();
 }
 
@@ -259,22 +268,11 @@ bool SpindlePlane::TryRoundLocked(std::unique_lock<std::mutex>& lk) {
 
   ++round_counter_;
   const uint64_t salt = SplitMix64(seed_ ^ round_counter_);
-  std::vector<RoundOp> round;
-  uint64_t idx = 0;
+  BeginRoundLocked();
   for (uint32_t o = 0; o < states_.size(); ++o) {
-    OwnerState& st = states_[o];
+    const OwnerState& st = states_[o];
     if (!active(st) || st.queue.front().is_fence) continue;
-    Item item = std::move(st.queue.front());
-    st.queue.pop_front();
-    for (IoScheduler::Op& op : item.ops) {
-      RoundOp rop;
-      rop.owner = o;
-      rop.key = SplitMix64(salt ^ (static_cast<uint64_t>(o) * kGolden) ^ idx);
-      rop.arrival = NextArrivalLocked(&st);
-      rop.op = std::move(op);
-      round.push_back(std::move(rop));
-      ++idx;
-    }
+    ExtractBatchLocked(o, salt);
   }
 
   // Replay against the hub with the lock released: other owners keep
@@ -282,36 +280,57 @@ bool SpindlePlane::TryRoundLocked(std::unique_lock<std::mutex>& lk) {
   // baton flag keeps state advances serialized.
   servicing_ = true;
   lk.unlock();
-  ServiceRound(&round);
+  ServiceRound();
   lk.lock();
-  PublishRoundLocked(&round);
+  PublishRoundLocked();
   servicing_ = false;
   cv_.notify_all();
   return true;
 }
 
-void SpindlePlane::ServiceRound(std::vector<RoundOp>* round) {
-  std::vector<RoundOp>& ops = *round;
-  const size_t n = ops.size();
-  uint64_t seq = 0;
+void SpindlePlane::BeginRoundLocked() {
+  round_.clear();
+  order_.clear();
+  for (OwnerState& st : states_) st.next = st.end = 0;
+}
+
+void SpindlePlane::ExtractBatchLocked(uint32_t owner, uint64_t salt) {
+  OwnerState& st = states_[owner];
+  st.in_round = std::move(st.queue.front().ops);
+  st.queue.pop_front();
+  st.next = round_.size();
+  for (IoScheduler::Op& op : st.in_round) {
+    const uint64_t idx = round_.size();
+    RoundOp& rop = round_.emplace_back();
+    rop.owner = owner;
+    rop.key = SplitMix64(salt ^ (static_cast<uint64_t>(owner) * kGolden) ^ idx);
+    rop.arrival = NextArrivalLocked(&st);
+    rop.op = &op;
+  }
+  st.end = round_.size();
+}
+
+void SpindlePlane::ServiceNext(size_t i) {
+  order_.push_back(i);
+  ServiceChain(&round_[i]);
+}
+
+void SpindlePlane::ServiceRound() {
+  const size_t n = round_.size();
   if (policy_ == SchedPolicy::kFifo) {
     // Salted slot shuffle: permute positions by key, then refill each
     // owner's positions with its ops in program order. A single owner
     // holds every position, so its ops service in submission order
-    // regardless of the salt.
-    std::vector<size_t> order(n);
-    for (size_t i = 0; i < n; ++i) order[i] = i;
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return ops[a].key < ops[b].key;
+    // regardless of the salt. Equal keys keep round order (a stable
+    // sort by key).
+    positions_.resize(n);
+    for (size_t i = 0; i < n; ++i) positions_[i] = i;
+    std::sort(positions_.begin(), positions_.end(), [&](size_t a, size_t b) {
+      return round_[a].key < round_[b].key ||
+             (round_[a].key == round_[b].key && a < b);
     });
-    std::vector<std::deque<size_t>> per_owner(states_.size());
-    for (size_t i = 0; i < n; ++i) per_owner[ops[i].owner].push_back(i);
-    for (size_t pos : order) {
-      std::deque<size_t>& q = per_owner[ops[pos].owner];
-      RoundOp* rop = &ops[q.front()];
-      q.pop_front();
-      rop->seq = seq++;
-      ServiceChain(rop);
+    for (size_t pos : positions_) {
+      ServiceNext(states_[round_[pos].owner].next++);
     }
     return;
   }
@@ -319,57 +338,56 @@ void SpindlePlane::ServiceRound(std::vector<RoundOp>* round) {
   // first device request has the cheapest positioning from the current
   // head; the salted key breaks ties. Per-owner program order is
   // preserved because only each owner's front is ever a candidate.
-  std::vector<std::deque<size_t>> fronts(states_.size());
-  for (size_t i = 0; i < n; ++i) fronts[ops[i].owner].push_back(i);
   for (size_t served = 0; served < n; ++served) {
     size_t pick = n;
     double pick_cost = std::numeric_limits<double>::infinity();
     uint64_t pick_key = std::numeric_limits<uint64_t>::max();
-    for (const std::deque<size_t>& q : fronts) {
-      if (q.empty()) continue;
-      const size_t i = q.front();
+    for (const OwnerState& st : states_) {
+      if (st.next == st.end) continue;
+      const RoundOp& rop = round_[st.next];
       double cost = 0.0;
-      for (const IoScheduler::Request& r : ops[i].op.chain) {
+      for (const IoScheduler::Request& r : rop.op->chain) {
         if (r.kind == IoScheduler::Request::Kind::kIo) {
-          cost = states_[ops[i].owner].view->PeekPositioningCost(r.offset);
+          cost = st.view->PeekPositioningCost(r.offset);
           break;
         }
         if (r.kind == IoScheduler::Request::Kind::kFlush) break;
       }
-      if (cost < pick_cost || (cost == pick_cost && ops[i].key < pick_key)) {
-        pick = i;
+      if (cost < pick_cost || (cost == pick_cost && rop.key < pick_key)) {
+        pick = st.next;
         pick_cost = cost;
-        pick_key = ops[i].key;
+        pick_key = rop.key;
       }
     }
     assert(pick < n);
-    fronts[ops[pick].owner].pop_front();
-    ops[pick].seq = seq++;
-    ServiceChain(&ops[pick]);
+    ++states_[round_[pick].owner].next;
+    ServiceNext(pick);
   }
 }
 
 void SpindlePlane::ServiceChain(RoundOp* rop) {
   BlockDevice* view = states_[rop->owner].view;
+  IoScheduler::Op& op = *rop->op;
   SimClock& clk = hub_->clock();
   rop->start = clk.now();
   // Exactly the synchronous charging sequence, chain-contiguous: this
   // is what makes a single owner at depth 1 bit-identical to the
   // dedicated path.
   double win_t0 = 0.0;
-  for (IoScheduler::Request& r : rop->op.chain) {
+  for (uint32_t i = 0; i < op.chain.size(); ++i) {
+    const IoScheduler::Request& r = op.chain[i];
     using Kind = IoScheduler::Request::Kind;
     switch (r.kind) {
       case Kind::kIo:
         clk.Advance(view->ServiceRequest(r.write, r.offset, r.len));
         ++rop->device_reqs;
         if (r.tag != 0) view->NoteWriteServiced(r.tag);
-        if (r.done) r.done(clk.now(), Status::OK());
+        op.FireCompletions(i, clk.now());
         break;
       case Kind::kFlush:
         clk.Advance(view->ServiceFlush());
         ++rop->device_reqs;
-        if (r.done) r.done(clk.now(), Status::OK());
+        op.FireCompletions(i, clk.now());
         break;
       case Kind::kCpu:
         clk.Advance(r.cpu_s);
@@ -384,19 +402,16 @@ void SpindlePlane::ServiceChain(RoundOp* rop) {
     }
   }
   rop->completion = clk.now();
-  rop->op.chain.clear();
+  // The spent op keeps its chain capacity for its owner's next op.
+  op.chain.clear();
+  op.completions.clear();
 }
 
-void SpindlePlane::PublishRoundLocked(std::vector<RoundOp>* round) {
+void SpindlePlane::PublishRoundLocked() {
   // Publish in service order so the fingerprint (and float
   // accumulation) reflect the actual interleave.
-  std::vector<size_t> by_seq(round->size());
-  for (size_t i = 0; i < round->size(); ++i) by_seq[i] = i;
-  std::sort(by_seq.begin(), by_seq.end(), [&](size_t a, size_t b) {
-    return (*round)[a].seq < (*round)[b].seq;
-  });
-  for (size_t i : by_seq) {
-    RoundOp& rop = (*round)[i];
+  for (size_t i : order_) {
+    const RoundOp& rop = round_[i];
     OwnerState& st = states_[rop.owner];
     st.slots.push(rop.completion);
     st.last_completion = std::max(st.last_completion, rop.completion);
@@ -405,8 +420,8 @@ void SpindlePlane::PublishRoundLocked(std::vector<RoundOp>* round) {
       ++st.sched->completed_ops_;
       st.sched->serviced_requests_ += rop.device_reqs;
       LatencyRecorder* rec = st.sched->recorder();
-      if (rec != nullptr && rop.op.cls != OpClass::kControl) {
-        rec->Record(rop.op.cls, rop.completion - rop.arrival);
+      if (rec != nullptr && rop.op->cls != OpClass::kControl) {
+        rec->Record(rop.op->cls, rop.completion - rop.arrival);
       }
     }
     service_hash_ = (service_hash_ ^ rop.owner) * kFnvPrime;
@@ -414,30 +429,31 @@ void SpindlePlane::PublishRoundLocked(std::vector<RoundOp>* round) {
     std::memcpy(&bits, &rop.completion, sizeof(bits));
     service_hash_ = (service_hash_ ^ bits) * kFnvPrime;
   }
+  for (OwnerState& st : states_) {
+    if (st.in_round.empty()) continue;
+    if (st.spent.size() < kSpentBatches) {
+      st.spent.push_back(std::move(st.in_round));
+    }
+    st.in_round.clear();
+  }
 }
 
 void SpindlePlane::DrainOwnerLocked(OwnerState* st) {
   assert(!servicing_);
+  const uint32_t owner = static_cast<uint32_t>(st - states_.data());
   while (!st->queue.empty()) {
-    Item item = std::move(st->queue.front());
-    st->queue.pop_front();
-    if (item.is_fence) {
+    if (st->queue.front().is_fence) {
+      st->queue.pop_front();
       ++st->fences_popped;
       continue;
     }
-    std::vector<RoundOp> round;
-    const uint32_t owner = static_cast<uint32_t>(st - states_.data());
-    for (IoScheduler::Op& op : item.ops) {
-      RoundOp rop;
-      rop.owner = owner;
-      rop.arrival = NextArrivalLocked(st);
-      rop.op = std::move(op);
-      round.push_back(std::move(rop));
-    }
-    // Single-owner rounds service in program order under both policies;
-    // holding the lock is fine — nothing else can be servicing.
-    ServiceRound(&round);
-    PublishRoundLocked(&round);
+    // Single-owner rounds service in program order under both policies
+    // (the salt is moot); holding the lock is fine — nothing else can
+    // be servicing.
+    BeginRoundLocked();
+    ExtractBatchLocked(owner, /*salt=*/0);
+    ServiceRound();
+    PublishRoundLocked();
   }
 }
 

@@ -67,6 +67,12 @@
 // measure. Payload bytes still move at submission time on the owners'
 // threads into disjoint, pre-allocated slab sets of the hub arena.
 //
+// Storage. A round is built in reused scratch: each owner's delivered
+// batch is moved in whole, its ops form one contiguous range of the
+// round, and per-owner cursors walk those ranges in program order.
+// Serviced batches, their chains emptied but not freed, go back to the
+// owner on its next Deliver, so in steady state no op allocates.
+//
 // Destruction. A scheduler being destroyed retires its owner:
 // leftovers are delivered, the owner leaves the active set, and the
 // last retirement drains any stragglers solo in owner order.
@@ -134,9 +140,11 @@ class SpindlePlane {
 
   // -- Submission protocol (called by ported IoSchedulers) -------------
 
-  /// Queues a batch of sealed ops. Blocks (driving service) while the
-  /// owner's queue is at the backpressure window.
-  void Deliver(uint32_t owner, std::vector<IoScheduler::Op> ops);
+  /// Queues the sealed ops in `*batch`. Blocks (driving service) while
+  /// the owner's queue is at the backpressure window. Hands back, in
+  /// `*batch`, a serviced batch of this owner's (or an empty vector):
+  /// its spent ops keep their chain capacity for the owner to reuse.
+  void Deliver(uint32_t owner, std::vector<IoScheduler::Op>* batch);
 
   /// Queues a fence and blocks until the plane has popped it — i.e.
   /// every op this owner submitted before the fence has been serviced.
@@ -189,18 +197,24 @@ class SpindlePlane {
     double last_completion = 0.0;  ///< The owner's completion frontier.
     IoScheduler* sched = nullptr;
     BlockDevice* view = nullptr;
+    /// The batch in the current round (baton holder only). Its ops
+    /// occupy round_[next, end); `next` is the first unserviced one.
+    std::vector<IoScheduler::Op> in_round;
+    size_t next = 0;
+    size_t end = 0;
+    /// Serviced batches waiting to be handed back by Deliver.
+    std::vector<std::vector<IoScheduler::Op>> spent;
   };
 
   /// One op extracted into a service round.
   struct RoundOp {
     uint32_t owner = 0;
-    uint64_t key = 0;       // salted shuffle / tie-break key
-    uint64_t seq = 0;       // position in the round's service order
     uint32_t device_reqs = 0;  // kIo/kFlush entries serviced
+    uint64_t key = 0;       // salted shuffle / tie-break key
     double arrival = 0.0;   // assigned at extraction (closed loop)
     double start = 0.0;     // head reached the chain (filled at service)
     double completion = 0.0;
-    IoScheduler::Op op;
+    IoScheduler::Op* op = nullptr;  // into its owner's `in_round`
   };
 
   bool active(const OwnerState& st) const {
@@ -233,6 +247,14 @@ class SpindlePlane {
   /// work and at least one front is a batch.
   bool TryRoundLocked(std::unique_lock<std::mutex>& lk);
 
+  /// Empties the round scratch for a new round.
+  void BeginRoundLocked();
+
+  /// Moves `owner`'s front batch into the round: each op gets its
+  /// closed-loop arrival and its `salt`ed key, in program order, so the
+  /// owner's ops form one contiguous range of `round_`.
+  void ExtractBatchLocked(uint32_t owner, uint64_t salt);
+
   /// Blocks until `pred()` holds, driving AdvanceLocked while progress
   /// is possible.
   template <typename Pred>
@@ -245,15 +267,19 @@ class SpindlePlane {
 
   /// Services the round against the hub (caller holds the baton; the
   /// mutex may be held or released).
-  void ServiceRound(std::vector<RoundOp>* round);
+  void ServiceRound();
+
+  /// Services round_[i] next and notes it in the service order.
+  void ServiceNext(size_t i);
 
   /// Replays one op's chain contiguously on the hub clock with the
   /// synchronous charging arithmetic; fills start/completion.
   void ServiceChain(RoundOp* rop);
 
   /// Publishes a serviced round under the lock: slots, frontiers,
-  /// latency records, queue waits, counters.
-  void PublishRoundLocked(std::vector<RoundOp>* round);
+  /// latency records, queue waits, counters. Serviced batches go to
+  /// their owners' spent lists.
+  void PublishRoundLocked();
 
   /// Pops the closed-loop arrival for the next op of `st`.
   double NextArrivalLocked(OwnerState* st);
@@ -275,6 +301,12 @@ class SpindlePlane {
   uint64_t round_counter_ = 0;
   uint64_t service_hash_ = 1469598103934665603ull;  // FNV offset basis
   std::vector<OwnerState> states_;
+
+  // Round scratch, reused across rounds: only the baton holder (or the
+  // retiring owner, with nothing servicing) touches it.
+  std::vector<RoundOp> round_;
+  std::vector<size_t> positions_;  // FIFO: round_ indices by salted key
+  std::vector<size_t> order_;      // round_ indices in service order
 };
 
 }  // namespace sim

@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -95,8 +96,7 @@ PlaneRun DrivePlane(SchedPolicy policy, uint64_t seed, uint32_t owners,
       std::mt19937 jitter(seed ^ (o + 1));
       for (uint32_t i = 0; i < batches * depth; ++i) {
         scheds[o]->BeginOp(OpClass::kPut);
-        scheds[o]->EnqueueRequest(/*write=*/true, offset_of(o, i), kBlock,
-                                  /*done=*/{});
+        scheds[o]->EnqueueRequest(/*write=*/true, offset_of(o, i), kBlock);
         scheds[o]->EndOp();
         if (stagger && (jitter() & 3u) == 0) {
           std::this_thread::sleep_for(
@@ -440,6 +440,56 @@ TEST(SpindlePlaneCompletionTest, SubmitVCompletionFiresOnceInChainOrder) {
   EXPECT_LT(fired_at[0], fired_at[1]);
   EXPECT_EQ(scheds[0]->serviced_requests(), 4u + 15u);
   EXPECT_GT(plane.hub()->clock().now(), fired_at[1]);
+  scheds.clear();
+  views.clear();
+}
+
+TEST(SpindlePlaneCompletionTest, ReusedOpsFireEachCompletionOnce) {
+  // Settling after every batch services it before the next Deliver, so
+  // each Deliver hands the owner back a serviced batch and later ops
+  // reuse earlier ops' chains. No completion may fire twice or be lost.
+  constexpr uint32_t kDepth = 2;
+  constexpr uint32_t kBatches = 8;
+  SpindlePlane::Params params;
+  params.region_bytes = kRegion;
+  params.owners = 2;
+  params.policy = SchedPolicy::kFifo;
+  SpindlePlane plane(params);
+  std::vector<std::unique_ptr<BlockDevice>> views;
+  std::vector<std::unique_ptr<IoScheduler>> scheds;
+  for (uint32_t o = 0; o < 2; ++o) {
+    views.push_back(plane.CreateOwnerDevice(o));
+    scheds.push_back(std::make_unique<IoScheduler>(views[o].get(), nullptr));
+    views[o]->AttachScheduler(scheds[o].get());
+    scheds[o]->AttachSpindle(&plane, o);
+  }
+  std::atomic<int> fired[2] = {0, 0};
+  std::vector<std::thread> threads;
+  for (uint32_t o = 0; o < 2; ++o) {
+    threads.emplace_back([&, o] {
+      ASSERT_TRUE(scheds[o]->Engage(kDepth, SchedPolicy::kFifo).ok());
+      for (uint32_t i = 0; i < kBatches * kDepth; ++i) {
+        {
+          OpScope scope(scheds[o].get(), OpClass::kPut);
+          IoRequest req;
+          req.write = true;
+          req.offset = ScatteredOffset(o, i) % (kRegion - kMiB);
+          req.length = 64 * kKiB;
+          ASSERT_TRUE(views[o]->Submit(req, [&, o](double, const Status&) {
+                                ++fired[o];
+                              }).ok());
+          ASSERT_TRUE(views[o]->Write(req.offset + 512 * kKiB, kBlock).ok());
+        }
+        if (i % kDepth == kDepth - 1) scheds[o]->Settle();
+      }
+      scheds[o]->SettlePhase();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (uint32_t o = 0; o < 2; ++o) {
+    EXPECT_EQ(fired[o].load(), static_cast<int>(kBatches * kDepth));
+    EXPECT_EQ(scheds[o]->serviced_requests(), 2u * kBatches * kDepth);
+  }
   scheds.clear();
   views.clear();
 }
